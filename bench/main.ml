@@ -64,7 +64,7 @@ let micro_tests () =
   in
   let qp =
     Test.make ~name:"quadratic-init" (Staged.stage (fun () ->
-        ignore (Dpp_place.Qp.run ~seed:1 d)))
+        ignore (Dpp_place.Qp.run ~seed:1 ~soa:pins.Dpp_wirelen.Pins.soa d)))
   in
   [ lse; wa; hpwl; density; extract; qp ]
 
@@ -120,12 +120,11 @@ let run_detail_bench () =
   in
   (* weighted rescan of the union of both cells' nets, before/after the
      staged swap — the pre-refactor Detail.local_hpwl evaluation *)
-  let module Hypergraph = Dpp_netlist.Hypergraph in
-  let h = Hypergraph.build d in
   let local i j =
     let seen = Hashtbl.create 16 in
     List.iter
-      (fun c -> Hypergraph.iter_nets_of_cell h c (fun n -> Hashtbl.replace seen n ()))
+      (fun c ->
+        Dpp_netlist.Soa.iter_nets_of_cell pins.Pins.soa c (fun n -> Hashtbl.replace seen n ()))
       [ i; j ];
     Hashtbl.fold
       (fun n () acc ->
@@ -331,7 +330,6 @@ let run_legal_bench () =
   let module Types = Dpp_netlist.Types in
   let module Pins = Dpp_wirelen.Pins in
   let module Netbox = Dpp_wirelen.Netbox in
-  let module Hypergraph = Dpp_netlist.Hypergraph in
   let module Rect = Dpp_geom.Rect in
   let module Pool = Dpp_par.Pool in
   let module Legal = Dpp_place.Legal in
@@ -347,9 +345,9 @@ let run_legal_bench () =
     let cx, cy = Pins.centers_of_design d in
     Pool.with_pool ~nworkers:jobs @@ fun pool ->
     let legal = Legal.run d ~pool ~cx ~cy () in
-    let nb = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-    let h = Hypergraph.build d in
-    ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~hypergraph:h ~legal ());
+    let pins = Pins.build d in
+    let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
+    ignore (Dpp_place.Detail.run d ~pool ~soa:pins.Pins.soa ~netbox:nb ~legal ());
     ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Legal.cx ~cy:legal.Legal.cy ());
     legal.Legal.assignment, legal.Legal.cx, legal.Legal.cy, Array.copy d.Design.orient
   in
@@ -536,10 +534,10 @@ let run_legal_bench () =
         Pool.with_pool ~nworkers:jobs @@ fun pool ->
         let legal_rate = rate (fun () -> ignore (Legal.run d ~pool ~cx ~cy ())) in
         let legal = Legal.run d ~pool ~cx ~cy () in
-        let nb = Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-        let h = Hypergraph.build d in
+        let pins = Pins.build d in
+        let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
         let t0 = Unix.gettimeofday () in
-        ignore (Dpp_place.Detail.run d ~pool ~netbox:nb ~hypergraph:h ~legal ());
+        ignore (Dpp_place.Detail.run d ~pool ~soa:pins.Pins.soa ~netbox:nb ~legal ());
         let detail_s = Unix.gettimeofday () -. t0 in
         say "  jobs %d: legal %8.2f runs/s  detail %6.3f s" jobs legal_rate detail_s;
         jobs, legal_rate, detail_s)

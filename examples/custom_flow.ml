@@ -34,7 +34,7 @@ let () =
   in
   Format.printf "extracted %d groups@." (List.length groups);
   (* 2. initial placement *)
-  let qp = Dpp_place.Qp.run ~seed:3 d in
+  let qp = Dpp_place.Qp.run ~seed:3 ~soa:pins.Pins.soa d in
   Format.printf "quadratic init: HPWL %.0f (PCG %d+%d iters)@."
     (Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy)
     qp.Dpp_place.Qp.iterations_x qp.Dpp_place.Qp.iterations_y;

@@ -3,7 +3,7 @@ module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
 module Design = Dpp_netlist.Design
 module Builder = Dpp_netlist.Builder
-module Hypergraph = Dpp_netlist.Hypergraph
+module Soa = Dpp_netlist.Soa
 module Dgroup = Dpp_structure.Dgroup
 
 let src = Logs.Src.create "dpp.coarsen" ~doc:"multilevel coarsening"
@@ -83,7 +83,7 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
   (* 2. heavy-edge matching over the remaining movables, visited in a
      seeded shuffle; ties break on the lower cell id so the result is a
      pure function of (design, groups, seed) *)
-  let h = Hypergraph.build fine in
+  let soa = Soa.of_design fine in
   let movable = Design.movable_ids fine in
   let free = Array.of_list (List.filter (fun i -> cluster_of.(i) < 0) (Array.to_list movable)) in
   let mean_area =
@@ -130,11 +130,11 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
         else begin
           n_touched := 0;
           let a_u = cell_area fine u in
-          Hypergraph.iter_nets_of_cell h u (fun n ->
-              let deg = Hypergraph.net_degree h n in
+          Soa.iter_nets_of_cell soa u (fun n ->
+              let deg = Soa.net_cell_degree soa n in
               if deg >= 2 && deg <= max_net_degree then begin
                 let w = (Design.net fine n).Types.n_weight /. float_of_int (deg - 1) in
-                Hypergraph.iter_cells_of_net h n (fun v ->
+                Soa.iter_cells_of_net soa n (fun v ->
                     if
                       v <> u
                       && cluster_of.(v) < 0

@@ -4,9 +4,10 @@
     belongs to exactly one cluster, every cluster is one coarse cell.
     The first level seeds one cluster per datapath group ({!Dpp_structure.Dgroup})
     — a bit-slice is never split across clusters — then matches the
-    remaining movable cells by heavy-edge scores over the hypergraph,
-    with an area cap and seeded deterministic tie-breaking.  Fixed cells
-    and pads are preserved one-to-one.
+    remaining movable cells by heavy-edge scores over the deduplicated
+    cell/net adjacency ({!Dpp_netlist.Soa}), with an area cap and
+    seeded deterministic tie-breaking.  Fixed cells and pads are
+    preserved one-to-one.
 
     Determinism: all randomness comes from the caller's seed through
     {!Dpp_util.Rng}; building the same design with the same seed yields

@@ -9,8 +9,9 @@ module Dgroup = Dpp_structure.Dgroup
 let legality_from = [ "legal"; "detail"; "flip"; "metrics" ]
 
 let snapped_dgroups (ctx : Ctx.t) =
+  let frozen = Ctx.member ctx.Ctx.skip in
   List.filter
-    (fun (dg : Dgroup.t) -> Array.for_all ctx.Ctx.skip dg.Dgroup.cells)
+    (fun (dg : Dgroup.t) -> Array.for_all frozen dg.Dgroup.cells)
     (ctx.Ctx.dgroups @ ctx.Ctx.macro_dgs)
 
 let run ~stage (ctx : Ctx.t) =
@@ -36,8 +37,8 @@ let run ~stage (ctx : Ctx.t) =
   (match (stage, ctx.Ctx.gp) with
   | "gp", Some g -> oracle "rt-ledger" (Check.rt_ledger g.Dpp_place.Gp.rt_trace)
   | _ -> ());
-  (match (stage, ctx.Ctx.congestion) with
-  | "metrics", Some stats ->
+  (match (stage, ctx.Ctx.metrics) with
+  | "metrics", Some { Ctx.congestion = stats; _ } ->
     oracle "congestion"
       (Check.congestion ~pool:ctx.Ctx.pool ~pins:ctx.Ctx.pins d ~stats ~cx ~cy)
   | _ -> ());
@@ -80,8 +81,8 @@ module Snapshot = struct
       cx = Array.copy ctx.Ctx.cx;
       cy = Array.copy ctx.Ctx.cy;
       orient = Array.copy ctx.Ctx.design.Design.orient;
-      skip_ids = Array.copy ctx.Ctx.skip_ids;
-      flip_skip_ids = Array.copy ctx.Ctx.flip_skip_ids;
+      skip_ids = Array.copy ctx.Ctx.skip;
+      flip_skip_ids = Array.copy ctx.Ctx.flip_skip;
       obstacles = ctx.Ctx.obstacles;
       bound = ctx.Ctx.bound;
       assignment =
@@ -106,8 +107,8 @@ module Snapshot = struct
       end
     done;
     Ctx.set_coords ctx (Array.copy s.cx) (Array.copy s.cy);
-    Ctx.set_skip ctx s.skip_ids;
-    Ctx.set_flip_skip ctx s.flip_skip_ids;
+    ctx.Ctx.skip <- s.skip_ids;
+    ctx.Ctx.flip_skip <- s.flip_skip_ids;
     ctx.Ctx.obstacles <- s.obstacles;
     ctx.Ctx.bound <- s.bound;
     if Array.length s.assignment > 0 then

@@ -1,10 +1,15 @@
 module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Groups = Dpp_netlist.Groups
-module Hypergraph = Dpp_netlist.Hypergraph
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
 module Hpwl = Dpp_wirelen.Hpwl
+
+type metrics = {
+  steiner : float;
+  congestion : Dpp_congest.Rudy.stats;
+  critical_delay : float;
+}
 
 type t = {
   design : Design.t;
@@ -16,17 +21,14 @@ type t = {
           context owns its own. *)
   soa : Soa.t;
   pins : Pins.t;
-  hypergraph : Hypergraph.t Lazy.t;
   mutable cx : float array;
   mutable cy : float array;
   mutable netbox : Netbox.t option;
   mutable netbox_retired : Netbox.t option;
       (** last invalidated netbox, kept as the reuse donor for the next
           build over the same pin view *)
-  mutable skip : int -> bool;
-  mutable skip_ids : int array;
-  mutable flip_skip : int -> bool;
-  mutable flip_skip_ids : int array;
+  mutable skip : int array;
+  mutable flip_skip : int array;
   mutable bound : Dpp_geom.Rect.t option;
   mutable obstacles : Dpp_geom.Rect.t list;
   mutable legal : Dpp_place.Legal.t option;
@@ -34,18 +36,10 @@ type t = {
   mutable extraction : (Dpp_extract.Slicer.result * Dpp_extract.Exmetrics.t) option;
   mutable dgroups : Dpp_structure.Dgroup.t list;
   mutable macro_dgs : Dpp_structure.Dgroup.t list;
-  mutable rigid_dgs : Dpp_structure.Dgroup.t list;
-  mutable soft_dgs : Dpp_structure.Dgroup.t list;
   mutable gp : Dpp_place.Gp.result option;
   mutable ml_levels : Dpp_coarsen.level list;
   mutable gp_levels : Dpp_place.Gp.level_info list;
-  mutable detail_stats : Dpp_place.Detail.stats option;
-  mutable flip_stats : Dpp_place.Flip.stats option;
-  mutable hpwl_init : float;
-  mutable hpwl_legal : float;
-  mutable steiner_final : float;
-  mutable congestion : Dpp_congest.Rudy.stats option;
-  mutable critical_delay : float;
+  mutable metrics : metrics option;
 }
 
 let create design config =
@@ -58,15 +52,12 @@ let create design config =
     arena = Dpp_util.Arena.create ();
     soa;
     pins = Pins.of_soa soa;
-    hypergraph = lazy (Hypergraph.build design);
     cx;
     cy;
     netbox = None;
     netbox_retired = None;
-    skip = (fun _ -> false);
-    skip_ids = [||];
-    flip_skip = (fun _ -> false);
-    flip_skip_ids = [||];
+    skip = [||];
+    flip_skip = [||];
     bound = None;
     obstacles = [];
     legal = None;
@@ -74,33 +65,16 @@ let create design config =
     extraction = None;
     dgroups = [];
     macro_dgs = [];
-    rigid_dgs = [];
-    soft_dgs = [];
     gp = None;
     ml_levels = [];
     gp_levels = [];
-    detail_stats = None;
-    flip_stats = None;
-    hpwl_init = 0.0;
-    hpwl_legal = 0.0;
-    steiner_final = 0.0;
-    congestion = None;
-    critical_delay = 0.0;
+    metrics = None;
   }
 
-(* install a skip predicate together with the id set behind it, so
-   checkpoint snapshots can serialize it (a bare closure cannot be) *)
-let set_skip t ids =
+let member ids =
   let h = Hashtbl.create (max 16 (Array.length ids)) in
   Array.iter (fun i -> Hashtbl.replace h i ()) ids;
-  t.skip_ids <- ids;
-  t.skip <- (fun i -> Hashtbl.mem h i)
-
-let set_flip_skip t ids =
-  let h = Hashtbl.create (max 16 (Array.length ids)) in
-  Array.iter (fun i -> Hashtbl.replace h i ()) ids;
-  t.flip_skip_ids <- ids;
-  t.flip_skip <- (fun i -> Hashtbl.mem h i)
+  fun i -> Hashtbl.mem h i
 
 let set_coords t cx cy =
   t.cx <- cx;

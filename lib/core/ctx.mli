@@ -1,13 +1,23 @@
 (** The shared placement context threaded through the flow's stages.
 
-    One [t] is allocated per {!Flow.run}: it owns the placed design copy,
-    the pin view (built {e once} — the flip stage keeps its offsets
-    consistent in place), a lazily built hypergraph, the live coordinate
-    arrays, and, from legalization onward, the {!Dpp_wirelen.Netbox}
-    incremental-cost cache that the detailed-placement and flip stages
-    evaluate their moves against.  Stages communicate exclusively by
-    mutating the context, which is what later scaling work (parallel
-    passes, sharded density, cross-run caching) builds on. *)
+    One [t] is allocated per {!Flow.run}, and {!create} is the one place
+    the flow derives its netlist views: the flat {!Dpp_netlist.Soa} core
+    (deduplicated cell/net adjacency included) and the pin view over it
+    are built here once, and every stage reads them instead of deriving
+    its own.  Besides the views the context holds only state that more
+    than one stage — or the driver, the checkpoint oracles, the snapshot
+    codec or the serve cache — reads: the live coordinates, the
+    {!Dpp_wirelen.Netbox} incremental-cost cache from legalization on,
+    the frozen-cell sets, obstacles, and each stage's product that a
+    later stage or the result consumes.  Stages communicate exclusively
+    by mutating the context. *)
+
+type metrics = {
+  steiner : float;  (** RSMT wirelength at the final placement *)
+  congestion : Dpp_congest.Rudy.stats;  (** RUDY demand statistics *)
+  critical_delay : float;  (** lite-STA critical path delay *)
+}
+(** The metrics stage's product. *)
 
 type t = {
   design : Dpp_netlist.Design.t;  (** the placed copy being optimized *)
@@ -21,11 +31,13 @@ type t = {
           worker context owns its own *)
   soa : Dpp_netlist.Soa.t;
       (** the flat structure-of-arrays view of [design], derived once at
-          context creation and authoritative for every hot kernel; its
-          [x]/[y]/[orient] arrays alias the design's, so in-place mutation
-          (flips) stays visible through both views *)
-  pins : Dpp_wirelen.Pins.t;  (** built once at context creation, over [soa] *)
-  hypergraph : Dpp_netlist.Hypergraph.t Lazy.t;
+          context creation and authoritative for every hot kernel and
+          every adjacency walk; its [x]/[y]/[orient] arrays alias the
+          design's, so in-place mutation (flips) stays visible through
+          both views *)
+  pins : Dpp_wirelen.Pins.t;
+      (** built once at context creation, over [soa]; the flip stage
+          keeps its offsets consistent in place *)
   mutable cx : float array;  (** live cell centers — the current best placement *)
   mutable cy : float array;
   mutable netbox : Dpp_wirelen.Netbox.t option;
@@ -34,14 +46,13 @@ type t = {
   mutable netbox_retired : Dpp_wirelen.Netbox.t option;
       (** last cache dropped by {!set_coords}, recycled as the storage
           donor of the next {!netbox} build *)
-  mutable skip : int -> bool;  (** cells frozen by group snapping (or by ECO) *)
-  mutable skip_ids : int array;
-      (** the id set behind [skip], maintained by {!set_skip} so
-          checkpoint snapshots can serialize the predicate *)
-  mutable flip_skip : int -> bool;
-      (** cells whose orientation must not change — identity in the full
+  mutable skip : int array;
+      (** ids of the cells frozen by group snapping (or by ECO); a plain
+          id set so checkpoint snapshots serialize it as is — stages
+          query it through {!member} *)
+  mutable flip_skip : int array;
+      (** cells whose orientation must not change — empty in the full
           flow, the frozen clean set in incremental ECO re-placement *)
-  mutable flip_skip_ids : int array;
   mutable bound : Dpp_geom.Rect.t option;
       (** dirty-region rectangle for incremental ECO re-placement;
           [None] (the full flow) leaves legalization and detailed
@@ -51,35 +62,26 @@ type t = {
   mutable groups_used : Dpp_netlist.Groups.t list;
   mutable extraction : (Dpp_extract.Slicer.result * Dpp_extract.Exmetrics.t) option;
   mutable dgroups : Dpp_structure.Dgroup.t list;
+      (** groups kept by the init stage's regularity filter; the gp stage
+          splits them into rigid and soft by mode and footprint *)
   mutable macro_dgs : Dpp_structure.Dgroup.t list;
-  mutable rigid_dgs : Dpp_structure.Dgroup.t list;
-  mutable soft_dgs : Dpp_structure.Dgroup.t list;
   mutable gp : Dpp_place.Gp.result option;
   mutable ml_levels : Dpp_coarsen.level list;
       (** the coarsening hierarchy the gp stage ran on ([[]] = flat GP);
           kept for the cluster-integrity oracle and the trace *)
   mutable gp_levels : Dpp_place.Gp.level_info list;
       (** per-level V-cycle solve records, ascending level order *)
-  mutable detail_stats : Dpp_place.Detail.stats option;
-  mutable flip_stats : Dpp_place.Flip.stats option;
-  mutable hpwl_init : float;
-  mutable hpwl_legal : float;
-  mutable steiner_final : float;
-  mutable congestion : Dpp_congest.Rudy.stats option;
-  mutable critical_delay : float;
+  mutable metrics : metrics option;  (** [None] until the metrics stage ran *)
 }
 
 val create : Dpp_netlist.Design.t -> Config.t -> t
 (** Derives the flat view and pin view and captures the design's
     current centers. *)
 
-val set_skip : t -> int array -> unit
-(** Install [skip] as membership in the given id set, recording the set
-    in [skip_ids].  Stages must use this (not assign the closure
-    directly) so {!Checkpoint.Snapshot} can persist the frozen set. *)
-
-val set_flip_skip : t -> int array -> unit
-(** Same, for the flip stage's exemption set. *)
+val member : int array -> int -> bool
+(** [member ids] is the membership predicate of a cell-id set such as
+    [skip] or [flip_skip].  Building it hashes the set, so a stage builds
+    it once and queries it per cell. *)
 
 val set_coords : t -> float array -> float array -> unit
 (** Adopt new live coordinate arrays (e.g. a stage's output), dropping

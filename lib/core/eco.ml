@@ -409,11 +409,10 @@ let run ?observer ?check ?(threshold = default_threshold) ?expand ?freeze ?obsta
           (Array.length p.dirty) p.dirty_fraction (Rect.width p.region)
           (Rect.height p.region));
     let prepare (ctx : Ctx.t) =
-      Ctx.set_skip ctx p.frozen;
-      Ctx.set_flip_skip ctx p.frozen;
+      ctx.Ctx.skip <- p.frozen;
+      ctx.Ctx.flip_skip <- p.frozen;
       ctx.Ctx.bound <- Some p.region;
-      ctx.Ctx.obstacles <- p.obstacles;
-      ctx.Ctx.hpwl_init <- Ctx.hpwl ctx
+      ctx.Ctx.obstacles <- p.obstacles
     in
     let flow =
       Flow.run_stages ~prepare ?observer ?check ~stages:Flow.eco_stages p.applied.edited cfg

@@ -87,7 +87,7 @@ let init_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        let qp = Qp.run ~seed:cfg.Config.seed d in
+        let qp = Qp.run ~seed:cfg.Config.seed ~soa:ctx.Ctx.soa d in
         Ctx.set_coords ctx qp.Qp.cx qp.Qp.cy;
         (* idealized arrays are oriented by the connectivity-driven initial
            placement, so alignment works with the net forces, not against
@@ -104,6 +104,17 @@ let init_stage =
         ctx.Ctx.dgroups <-
           (if groups_kept = [] then []
            else Dgroup.build_all_ordered d groups_kept ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy);
+        (* movable multi-row macros ride the rigid machinery in both modes *)
+        ctx.Ctx.macro_dgs <- List.map (Dgroup.of_movable_macro d) (Dgroup.movable_macros d);
+        ctx);
+  }
+
+let gp_stage =
+  {
+    name = "gp";
+    run =
+      (fun (ctx : Ctx.t) ->
+        let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
         let die_area = Dpp_geom.Rect.area d.Design.die in
         let rigid, soft =
           match cfg.Config.mode, cfg.Config.structure with
@@ -115,20 +126,6 @@ let init_stage =
                 dg.Dgroup.width *. dg.Dgroup.height <= snap_fraction *. die_area)
               ctx.Ctx.dgroups
         in
-        ctx.Ctx.rigid_dgs <- rigid;
-        ctx.Ctx.soft_dgs <- soft;
-        (* movable multi-row macros ride the rigid machinery in both modes *)
-        ctx.Ctx.macro_dgs <- List.map (Dgroup.of_movable_macro d) (Dgroup.movable_macros d);
-        ctx.Ctx.hpwl_init <- Ctx.hpwl ctx;
-        ctx);
-  }
-
-let gp_stage =
-  {
-    name = "gp";
-    run =
-      (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
         let gp_cfg =
           {
             Gp.default_config with
@@ -141,8 +138,8 @@ let gp_stage =
               (match cfg.Config.mode with
               | Config.Baseline -> 0.0
               | Config.Structure_aware -> cfg.Config.beta);
-            groups = ctx.Ctx.soft_dgs;
-            rigid_groups = ctx.Ctx.rigid_dgs @ ctx.Ctx.macro_dgs;
+            groups = soft;
+            rigid_groups = rigid @ ctx.Ctx.macro_dgs;
             pool = Some ctx.Ctx.pool;
             routability = cfg.Config.routability;
             rt_interval = cfg.Config.rt_interval;
@@ -181,7 +178,10 @@ let snap_stage =
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
         (* movable multi-row macros must become row-aligned obstacles in
            every mode: the row legalizer cannot handle them *)
-        let placed_macros = Shaping.snap ~max_die_fraction:1.0 d ctx.Ctx.macro_dgs ~cx ~cy in
+        let pins = ctx.Ctx.pins in
+        let placed_macros =
+          Shaping.snap ~max_die_fraction:1.0 ~pins d ctx.Ctx.macro_dgs ~cx ~cy
+        in
         let placed_groups =
           match cfg.Config.mode with
           | Config.Baseline -> []
@@ -189,7 +189,8 @@ let snap_stage =
             (* soft groups that fit also snap (they were pulled toward
                arrays by the penalty); Shaping drops oversized ones *)
             Shaping.snap ~max_die_fraction:snap_fraction
-              ~extra_obstacles:(Shaping.obstacles placed_macros) d ctx.Ctx.dgroups ~cx ~cy
+              ~extra_obstacles:(Shaping.obstacles placed_macros) ~pins d ctx.Ctx.dgroups ~cx
+              ~cy
         in
         let placed = placed_macros @ placed_groups in
         List.iter (fun p -> Shaping.apply p ~cx ~cy) placed;
@@ -200,7 +201,7 @@ let snap_stage =
           placed;
         ctx.Ctx.obstacles <- Shaping.obstacles placed;
         let ids = Hashtbl.fold (fun c () acc -> c :: acc) members [] in
-        Ctx.set_skip ctx (Array.of_list (List.sort compare ids));
+        ctx.Ctx.skip <- Array.of_list (List.sort compare ids);
         ctx);
   }
 
@@ -209,19 +210,17 @@ let legal_stage =
     name = "legal";
     run =
       (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design in
+        let d = ctx.Ctx.design and skip = Ctx.member ctx.Ctx.skip in
         let l =
           Legal.run d ~pool:ctx.Ctx.pool ~arena:ctx.Ctx.arena ~soa:ctx.Ctx.soa
-            ~extra_obstacles:ctx.Ctx.obstacles ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound
-            ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy ()
+            ~extra_obstacles:ctx.Ctx.obstacles ~skip ?bound:ctx.Ctx.bound ~cx:ctx.Ctx.cx
+            ~cy:ctx.Ctx.cy ()
         in
-        Abacus.run d ~extra_obstacles:ctx.Ctx.obstacles ~skip:ctx.Ctx.skip
-          ~target_cx:ctx.Ctx.cx ~legal:l ();
+        Abacus.run d ~extra_obstacles:ctx.Ctx.obstacles ~skip ~target_cx:ctx.Ctx.cx ~legal:l ();
         if l.Legal.failed <> [] then
           Log.err (fun m -> m "%d cells could not be legalized" (List.length l.Legal.failed));
         ctx.Ctx.legal <- Some l;
         Ctx.set_coords ctx l.Legal.cx l.Legal.cy;
-        ctx.Ctx.hpwl_legal <- Ctx.hpwl ctx;
         ctx);
   }
 
@@ -231,13 +230,11 @@ let detail_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let legal = Option.get ctx.Ctx.legal in
-        let stats =
-          Detail.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
-            ~max_passes:ctx.Ctx.config.Config.detail_passes
-            ~skip:ctx.Ctx.skip ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx)
-            ~hypergraph:(Lazy.force ctx.Ctx.hypergraph) ~legal ()
-        in
-        ctx.Ctx.detail_stats <- Some stats;
+        ignore
+          (Detail.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
+             ~max_passes:ctx.Ctx.config.Config.detail_passes
+             ~skip:(Ctx.member ctx.Ctx.skip) ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx)
+             ~legal ());
         ctx);
   }
 
@@ -250,12 +247,10 @@ let flip_stage =
            Accepted flips mirror the shared pin view's offsets in place
            through the netbox, so the pin view built at context creation
            stays valid — no rebuild. *)
-        let stats =
-          Dpp_place.Flip.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
-            ~skip:ctx.Ctx.flip_skip ~netbox:(Ctx.netbox ctx) ~cx:ctx.Ctx.cx
-            ~cy:ctx.Ctx.cy ()
-        in
-        ctx.Ctx.flip_stats <- Some stats;
+        ignore
+          (Dpp_place.Flip.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
+             ~skip:(Ctx.member ctx.Ctx.flip_skip) ~netbox:(Ctx.netbox ctx) ~cx:ctx.Ctx.cx
+             ~cy:ctx.Ctx.cy ());
         ctx);
   }
 
@@ -266,12 +261,12 @@ let metrics_stage =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design in
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
-        ctx.Ctx.steiner_final <- Rsmt.total ctx.Ctx.pins ~cx ~cy;
+        let steiner = Rsmt.total ctx.Ctx.pins ~cx ~cy in
         let rudy = Dpp_congest.Rudy.compute ~pool:ctx.Ctx.pool ~pins:ctx.Ctx.pins d ~cx ~cy in
-        ctx.Ctx.congestion <- Some (Dpp_congest.Rudy.stats rudy);
-        let sta = Dpp_timing.Sta.build d in
-        let timing = Dpp_timing.Sta.analyze sta ~cx ~cy in
-        ctx.Ctx.critical_delay <- timing.Dpp_timing.Sta.critical_delay;
+        let congestion = Dpp_congest.Rudy.stats rudy in
+        let timing = Dpp_timing.Sta.analyze (Dpp_timing.Sta.build d) ~cx ~cy in
+        ctx.Ctx.metrics <-
+          Some { Ctx.steiner; congestion; critical_delay = timing.Dpp_timing.Sta.critical_delay };
         ctx);
   }
 
@@ -309,7 +304,8 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
   (* the worker pool must not outlive the flow, even on Check_failed *)
   Fun.protect ~finally:(fun () -> Dpp_par.Pool.shutdown ctx.Ctx.pool) @@ fun () ->
   let reports = ref [] in
-  let hpwl_before = ref (Ctx.hpwl ctx) in
+  let hpwl_start = Ctx.hpwl ctx in
+  let hpwl_before = ref hpwl_start in
   List.iter
     (fun stage ->
       let g0 = Gc.quick_stat () in
@@ -364,12 +360,12 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
             ]
           | _ -> [])
         | "metrics" -> (
-          match ctx.Ctx.congestion with
-          | Some s ->
+          match ctx.Ctx.metrics with
+          | Some m ->
             [
-              "steiner", Json.Num ctx.Ctx.steiner_final;
-              "rudy_max", Json.Num s.Dpp_congest.Rudy.max_ratio;
-              "rudy_ace", Json.Num s.Dpp_congest.Rudy.ace_ratio;
+              "steiner", Json.Num m.Ctx.steiner;
+              "rudy_max", Json.Num m.Ctx.congestion.Dpp_congest.Rudy.max_ratio;
+              "rudy_ace", Json.Num m.Ctx.congestion.Dpp_congest.Rudy.ace_ratio;
             ]
           | None -> [])
         | _ -> []
@@ -414,20 +410,27 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
     else Alignment.total_error ctx.Ctx.dgroups ~cx:fx ~cy:fy
   in
   Pins.apply_centers d fx fy;
-  (* partial pipelines (incremental ECO, checkpoint resume) never run a gp
-     stage; the gp-derived fields then report the placement they started
-     from instead of erroring *)
-  let gp = ctx.Ctx.gp in
+  (* the init/legal HPWLs are those stages' trace records; partial
+     pipelines (incremental ECO, checkpoint resume) skip init, gp and
+     possibly legal, and those fields then report the HPWL the run
+     started from instead of erroring *)
+  let hpwl_after name =
+    match List.find_opt (fun (r : Trace.stage) -> r.Trace.name = name) stage_trace with
+    | Some r -> r.Trace.hpwl_after
+    | None -> hpwl_start
+  in
+  let hpwl_init = hpwl_after "init" in
+  let gp = ctx.Ctx.gp and m = Option.get ctx.Ctx.metrics in
   {
     design = d;
     config = cfg;
-    hpwl_init = ctx.Ctx.hpwl_init;
-    hpwl_gp = (match gp with Some g -> g.Gp.final_hpwl | None -> ctx.Ctx.hpwl_init);
-    hpwl_legal = ctx.Ctx.hpwl_legal;
+    hpwl_init;
+    hpwl_gp = (match gp with Some g -> g.Gp.final_hpwl | None -> hpwl_init);
+    hpwl_legal = hpwl_after "legal";
     hpwl_final;
-    steiner_final = ctx.Ctx.steiner_final;
-    congestion = Option.get ctx.Ctx.congestion;
-    critical_delay = ctx.Ctx.critical_delay;
+    steiner_final = m.Ctx.steiner;
+    congestion = m.Ctx.congestion;
+    critical_delay = m.Ctx.critical_delay;
     overflow_gp = (match gp with Some g -> g.Gp.final_overflow | None -> 0.0);
     align_error_final;
     groups_used = ctx.Ctx.groups_used;

@@ -9,11 +9,14 @@
     Bracketed stages run only in [Structure_aware] mode.  The input design
     is never modified; the result carries a placed copy.
 
-    The flow is an explicit {!stage} list over one shared {!Ctx.t}: each
-    stage reads and mutates the context (design copy, pin view, live
-    coordinates, incremental {!Dpp_wirelen.Netbox} cost cache) and the
+    The flow is an explicit {!stage} list over one shared {!Ctx.t}.  The
+    context derives the netlist views once ({!Dpp_netlist.Soa} with its
+    deduplicated adjacency, and the pin view); each stage reads them and
+    mutates the context's shared state (live coordinates, incremental
+    {!Dpp_wirelen.Netbox} cost cache, frozen sets, stage products).  The
     driver wraps every stage with timing and HPWL bookkeeping, reported
-    through the [observer] hook and the result's [stage_trace]. *)
+    through the [observer] hook and the result's [stage_trace]; the
+    result's [hpwl_init]/[hpwl_legal] are read back from that trace. *)
 
 exception Invalid_design of Dpp_netlist.Validate.issue list
 (** Raised when validation reports errors. *)
@@ -28,9 +31,9 @@ exception Check_failed of { stage : string; violations : string list }
 type result = {
   design : Dpp_netlist.Design.t;  (** placed copy of the input *)
   config : Config.t;
-  hpwl_init : float;  (** after quadratic init *)
+  hpwl_init : float;  (** after quadratic init: the [init] stage record's [hpwl_after] *)
   hpwl_gp : float;
-  hpwl_legal : float;
+  hpwl_legal : float;  (** the [legal] stage record's [hpwl_after] *)
   hpwl_final : float;  (** after detailed placement and flipping *)
   steiner_final : float;
   congestion : Dpp_congest.Rudy.stats;  (** RUDY demand statistics at the final placement *)
@@ -89,8 +92,11 @@ val run_stages :
     resume build on.  [prepare] runs right after context creation, before
     any stage — it may install coordinates, skip sets, obstacles, and the
     ECO [bound].  The list must end in a metrics stage for the result to
-    be assembled; when no gp stage is present the gp-derived result
-    fields report the starting placement. *)
+    be assembled.  Partial lists (incremental ECO, checkpoint resume)
+    may lack init, gp or legal: a missing init or legal stage makes
+    [hpwl_init]/[hpwl_legal] the HPWL the run started from (the first
+    stage record's [hpwl_before]); without a gp stage [hpwl_gp] equals
+    [hpwl_init], [overflow_gp] is 0 and the GP traces are empty. *)
 
 val eco_stages : stage list
 (** [legal; detail; flip; metrics] — the incremental ECO re-placement

@@ -369,8 +369,7 @@ let backend_checks (c : case) =
         Netbox.build (Pins.build d) ~cx:legal.Dpp_place.Legal.cx
           ~cy:legal.Dpp_place.Legal.cy
       in
-      let h = Dpp_netlist.Hypergraph.build d in
-      ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~hypergraph:h ~legal ());
+      ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~legal ());
       ignore
         (Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Dpp_place.Legal.cx
            ~cy:legal.Dpp_place.Legal.cy ());

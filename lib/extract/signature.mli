@@ -22,7 +22,6 @@ type t = {
 
 val compute :
   Dpp_netlist.Design.t ->
-  Dpp_netlist.Hypergraph.t ->
   Netclass.t ->
   iterations:int ->
   t

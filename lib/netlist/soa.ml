@@ -37,6 +37,12 @@ type t = {
   pin_dir : I8.t;
   pin_dx : F64.t;
   pin_dy : F64.t;
+  (* deduplicated cell<->net adjacency: nets list their distinct cells
+     ascending, cells list their distinct nets ascending *)
+  net_cell_off : I32.t;
+  net_cell : I32.t;
+  cell_net_off : I32.t;
+  cell_net : I32.t;
   groups : Groups.t list;
 }
 
@@ -69,6 +75,51 @@ let guard_pin_count ~name counted =
          "Soa.of_design(%s): counted %d pins, which exceeds the int32 CSR offset range \
           (max %d)"
          name counted I32.max_value)
+
+(* Distinct-cell/distinct-net CSR in both directions, without sorting:
+   visiting nets in ascending id order lists each cell's nets ascending,
+   and transposing that by ascending cell id lists each net's cells
+   ascending.  [stamp.(c) = n] marks cell [c] as already seen on net [n]. *)
+let build_adjacency ~nc ~nn ~net_pin_off ~net_pin ~pin_cell =
+  let stamp = Array.make nc (-1) in
+  let net_cell_off = I32.make (nn + 1) 0 and cell_net_off = I32.make (nc + 1) 0 in
+  let iter_distinct n f =
+    for k = I32.get net_pin_off n to I32.get net_pin_off (n + 1) - 1 do
+      let c = I32.get pin_cell (I32.get net_pin k) in
+      if stamp.(c) <> n then begin
+        stamp.(c) <- n;
+        f c
+      end
+    done
+  in
+  for n = 0 to nn - 1 do
+    let deg = ref 0 in
+    iter_distinct n (fun c ->
+        incr deg;
+        I32.set cell_net_off (c + 1) (I32.get cell_net_off (c + 1) + 1));
+    I32.set net_cell_off (n + 1) (I32.get net_cell_off n + !deg)
+  done;
+  for c = 0 to nc - 1 do
+    I32.set cell_net_off (c + 1) (I32.get cell_net_off c + I32.get cell_net_off (c + 1))
+  done;
+  let cell_net = I32.make (max 1 (I32.get cell_net_off nc)) 0 in
+  let cursor = Array.init nc (I32.get cell_net_off) in
+  Array.fill stamp 0 nc (-1);
+  for n = 0 to nn - 1 do
+    iter_distinct n (fun c ->
+        I32.set cell_net cursor.(c) n;
+        cursor.(c) <- cursor.(c) + 1)
+  done;
+  let net_cell = I32.make (max 1 (I32.get net_cell_off nn)) 0 in
+  let cursor = Array.init nn (I32.get net_cell_off) in
+  for c = 0 to nc - 1 do
+    for k = I32.get cell_net_off c to I32.get cell_net_off (c + 1) - 1 do
+      let n = I32.get cell_net k in
+      I32.set net_cell cursor.(n) c;
+      cursor.(n) <- cursor.(n) + 1
+    done
+  done;
+  net_cell_off, net_cell, cell_net_off, cell_net
 
 let of_design (d : Design.t) =
   let nc = Design.num_cells d in
@@ -125,6 +176,9 @@ let of_design (d : Design.t) =
     F64.set pin_dx p pin.Types.p_dx;
     F64.set pin_dy p pin.Types.p_dy
   done;
+  let net_cell_off, net_cell, cell_net_off, cell_net =
+    build_adjacency ~nc ~nn ~net_pin_off ~net_pin ~pin_cell
+  in
   {
     name = d.Design.name;
     die = d.Design.die;
@@ -156,6 +210,10 @@ let of_design (d : Design.t) =
     pin_dir;
     pin_dx;
     pin_dy;
+    net_cell_off;
+    net_cell;
+    cell_net_off;
+    cell_net;
     groups = d.Design.groups;
   }
 
@@ -223,6 +281,34 @@ let max_net_degree t =
   done;
   !m
 
+let net_cell_degree t n = I32.uget t.net_cell_off (n + 1) - I32.uget t.net_cell_off n
+let cell_net_degree t i = I32.uget t.cell_net_off (i + 1) - I32.uget t.cell_net_off i
+
+let iter_cells_of_net t n f =
+  for k = I32.get t.net_cell_off n to I32.get t.net_cell_off (n + 1) - 1 do
+    f (I32.uget t.net_cell k)
+  done
+
+let iter_nets_of_cell t i f =
+  for k = I32.get t.cell_net_off i to I32.get t.cell_net_off (i + 1) - 1 do
+    f (I32.uget t.cell_net k)
+  done
+
+let cells_of_net t n =
+  let lo = I32.get t.net_cell_off n in
+  I32.sub_array t.net_cell ~off:lo ~len:(I32.get t.net_cell_off (n + 1) - lo)
+
+let nets_of_cell t i =
+  let lo = I32.get t.cell_net_off i in
+  I32.sub_array t.cell_net ~off:lo ~len:(I32.get t.cell_net_off (i + 1) - lo)
+
+let neighbors_of_cell t i ~max_net_degree =
+  let seen = Hashtbl.create 16 in
+  iter_nets_of_cell t i (fun n ->
+      if net_cell_degree t n <= max_net_degree then
+        iter_cells_of_net t n (fun c -> if c <> i then Hashtbl.replace seen c ()));
+  Hashtbl.fold (fun c () acc -> c :: acc) seen [] |> List.sort compare
+
 let oriented_dims t i = Orient.apply t.orient.(i) ~w:t.width.(i) ~h:t.height.(i)
 
 let cell_rect t i =
@@ -233,6 +319,8 @@ let cell_rect t i =
    ledger and the bytes-per-cell accounting in DESIGN.md *)
 let compact_bytes t =
   (4 * (I32.length t.cell_pin_off + I32.length t.cell_pin + I32.length t.net_pin_off
-       + I32.length t.net_pin + I32.length t.pin_cell + I32.length t.pin_net))
+       + I32.length t.net_pin + I32.length t.pin_cell + I32.length t.pin_net
+       + I32.length t.net_cell_off + I32.length t.net_cell + I32.length t.cell_net_off
+       + I32.length t.cell_net))
   + I8.length t.kind + I8.length t.pin_dir
   + (8 * (F64.length t.pin_dx + F64.length t.pin_dy))

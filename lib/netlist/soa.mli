@@ -32,6 +32,19 @@
     bit-identical results.  The cell-side CSR ([cell_pin_off]/[cell_pin])
     preserves each cell's pin-list order the same way.
 
+    {2 Deduplicated adjacency}
+
+    The same CSR layout carries the cell<->net graph with duplicates
+    removed — the view extraction, QP, coarsening, snapping and detailed
+    placement walk.  Ordering contract: [net_cell] lists each net's
+    {e distinct} cells in ascending id order, and [cell_net] lists each
+    cell's distinct nets in ascending id order (a cell with two pins on
+    one net appears once).  Those orders are part of the interface:
+    the quadratic system, heavy-edge matching and signature refinement
+    accumulate over them, so their results depend on it bit for bit.
+    The distinct counts are {!net_cell_degree}/{!cell_net_degree}; the
+    pin counts stay {!net_degree}/{!cell_degree}.
+
     {2 Aliasing contract}
 
     [x], [y] and [orient] {e alias} the source design's mutable arrays:
@@ -75,12 +88,19 @@ type t = {
   pin_dx : Dpp_util.Compact.F64.t;
       (** offset from the cell's lower-left corner, N orientation *)
   pin_dy : Dpp_util.Compact.F64.t;
+  net_cell_off : Dpp_util.Compact.I32.t;
+      (** net->distinct-cell CSR offsets, length [num_nets + 1] *)
+  net_cell : Dpp_util.Compact.I32.t;  (** distinct cells per net, ascending *)
+  cell_net_off : Dpp_util.Compact.I32.t;
+      (** cell->distinct-net CSR offsets, length [num_cells + 1] *)
+  cell_net : Dpp_util.Compact.I32.t;  (** distinct nets per cell, ascending *)
   groups : Groups.t list;
 }
 
 val of_design : Design.t -> t
-(** Derive the flat view.  O(cells + nets + pins); [x]/[y]/[orient] are
-    aliased (see the module contract), everything else is copied. *)
+(** Derive the flat view, deduplicated adjacency included.
+    O(cells + nets + pins); [x]/[y]/[orient] are aliased (see the module
+    contract), everything else is copied. *)
 
 val to_design : t -> Design.t
 (** Rebuild a record-view design.  Exact field-for-field inverse of
@@ -111,9 +131,38 @@ val num_nets : t -> int
 val num_pins : t -> int
 
 val net_degree : t -> int -> int
+(** Pin count of a net. *)
+
 val cell_degree : t -> int -> int
+(** Pin count of a cell. *)
+
 val max_net_degree : t -> int
-(** At least 1, so degree-sized scratch buffers are never empty. *)
+(** Largest net pin count, at least 1 so degree-sized scratch buffers
+    are never empty. *)
+
+val net_cell_degree : t -> int -> int
+(** Number of distinct cells on a net. *)
+
+val cell_net_degree : t -> int -> int
+(** Number of distinct nets touching a cell. *)
+
+val iter_cells_of_net : t -> int -> (int -> unit) -> unit
+(** Allocation-free walk of a net's distinct cells, ascending. *)
+
+val iter_nets_of_cell : t -> int -> (int -> unit) -> unit
+(** Allocation-free walk of a cell's distinct nets, ascending. *)
+
+val cells_of_net : t -> int -> int array
+(** Fresh array of a net's distinct cells, ascending. *)
+
+val nets_of_cell : t -> int -> int array
+(** Fresh array of a cell's distinct nets, ascending. *)
+
+val neighbors_of_cell : t -> int -> max_net_degree:int -> int list
+(** Distinct cells sharing a net with the given cell, ascending, nets
+    with more than [max_net_degree] distinct cells skipped (they are
+    control/clock-like and would make the neighborhood quadratic).
+    Excludes the cell itself. *)
 
 val oriented_dims : t -> int -> float * float
 (** Width and height of cell [i] at its current orientation. *)
@@ -123,5 +172,5 @@ val cell_rect : t -> int -> Dpp_geom.Rect.t
     same values as {!Design.cell_rect}. *)
 
 val compact_bytes : t -> int
-(** Total bytes of the off-heap compact payloads (CSR + per-pin
-    metadata), for memory-ledger reporting. *)
+(** Total bytes of the off-heap compact payloads (CSR, adjacency and
+    per-pin metadata), for memory-ledger reporting. *)

@@ -40,7 +40,6 @@ val run :
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
   ?netbox:Dpp_wirelen.Netbox.t ->
-  ?hypergraph:Dpp_netlist.Hypergraph.t ->
   legal:Legal.t ->
   unit ->
   stats
@@ -55,5 +54,6 @@ val run :
 
     [netbox], when given, {e must} have been built over the [legal.cx] /
     [legal.cy] arrays (the flow's shared context guarantees this); when
-    absent a private one is built.  [hypergraph] likewise avoids a rebuild
-    when the caller already has one. *)
+    absent a private one is built.  The move pass walks [soa]'s
+    deduplicated adjacency (a private view is derived when [soa] is
+    absent). *)

@@ -7,7 +7,7 @@ module Rng = Dpp_util.Rng
 
 type result = { cx : float array; cy : float array; iterations_x : int; iterations_y : int }
 
-let run ?(seed = 1) (d : Design.t) =
+let run ?(seed = 1) ~(soa : Dpp_netlist.Soa.t) (d : Design.t) =
   let nc = Design.num_cells d in
   let movable = Design.movable_ids d in
   let m = Array.length movable in
@@ -36,12 +36,11 @@ let run ?(seed = 1) (d : Design.t) =
         by.(vv) <- by.(vv) +. (w *. cy.(u))
       | false, false -> ()
     in
-    let h = Dpp_netlist.Hypergraph.build d in
     for n = 0 to Design.num_nets d - 1 do
-      let cells = Dpp_netlist.Hypergraph.cells_of_net h n in
+      let cells = Dpp_netlist.Soa.cells_of_net soa n in
       let k = Array.length cells in
       if k >= 2 then begin
-        let weight = (Design.net d n).Types.n_weight in
+        let weight = soa.Dpp_netlist.Soa.net_weight.(n) in
         if k <= 4 then begin
           let w = weight /. float_of_int (k - 1) in
           for a = 0 to k - 1 do

@@ -16,4 +16,6 @@ type result = {
   iterations_y : int;
 }
 
-val run : ?seed:int -> Dpp_netlist.Design.t -> result
+val run : ?seed:int -> soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> result
+(** [soa] must be the flat view of the design; the net model walks its
+    deduplicated adjacency. *)

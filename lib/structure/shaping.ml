@@ -1,7 +1,7 @@
 module Design = Dpp_netlist.Design
 module Types = Dpp_netlist.Types
 module Rect = Dpp_geom.Rect
-module Hypergraph = Dpp_netlist.Hypergraph
+module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
 
@@ -37,10 +37,10 @@ let group_rect (dg : Dgroup.t) ox oy =
 
 (* HPWL of the nets incident to the group's members at the current
    coordinates. *)
-let incident_nets h (dg : Dgroup.t) =
+let incident_nets soa (dg : Dgroup.t) =
   let seen = Hashtbl.create 256 in
   Array.iter
-    (fun c -> Hypergraph.iter_nets_of_cell h c (fun n -> Hashtbl.replace seen n ()))
+    (fun c -> Soa.iter_nets_of_cell soa c (fun n -> Hashtbl.replace seen n ()))
     dg.Dgroup.cells;
   Hashtbl.fold (fun n () acc -> n :: acc) seen []
 
@@ -99,11 +99,10 @@ let candidates (d : Design.t) (dg : Dgroup.t) ox oy obstacles ~max_radius ~max_c
   done;
   List.rev !found
 
-let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) (d : Design.t) dgs ~cx ~cy =
+let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) ~(pins : Pins.t) (d : Design.t) dgs
+    ~cx ~cy =
   let die_area = Rect.area d.Design.die in
   let fixed = extra_obstacles @ fixed_rects d in
-  let pins = Pins.build d in
-  let h = Hypergraph.build d in
   let order =
     List.sort
       (fun a b -> compare (Array.length b.Dgroup.cells) (Array.length a.Dgroup.cells))
@@ -122,7 +121,7 @@ let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) (d : Design.t) dgs ~
         let ox, oy = clamp_origin d dg ox oy in
         let obstacles = fixed @ List.map (fun p -> p.rect) !placed in
         let cands = candidates d dg ox oy obstacles ~max_radius:12 ~max_count:48 in
-        let nets = incident_nets h dg in
+        let nets = incident_nets pins.Pins.soa dg in
         let eval () = List.fold_left (fun acc n -> acc +. Hpwl.net pins ~cx ~cy n) 0.0 nets in
         (* save member positions once; trial each candidate in place *)
         let saved =

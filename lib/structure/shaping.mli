@@ -27,13 +27,16 @@ type placed = {
 val snap :
   ?max_die_fraction:float ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
+  pins:Dpp_wirelen.Pins.t ->
   Dpp_netlist.Design.t ->
   Dgroup.t list ->
   cx:float array ->
   cy:float array ->
   placed list
 (** [max_die_fraction] defaults to 0.25; [extra_obstacles] are additional
-    keep-out rectangles (e.g. already-snapped movable macros). *)
+    keep-out rectangles (e.g. already-snapped movable macros).  [pins] is
+    the design's pin view at its current orientations; candidates are
+    scored over its nets and its flat core's adjacency. *)
 
 val apply : placed -> cx:float array -> cy:float array -> unit
 (** Write the members' snapped center positions into the coordinate

@@ -11,6 +11,7 @@ module Dgroup = Dpp_structure.Dgroup
 module Coarsen = Dpp_coarsen
 module Gp = Dpp_place.Gp
 module Qp = Dpp_place.Qp
+module Soa = Dpp_netlist.Soa
 module Check = Dpp_check
 
 let scaled_design ?(cells = 900) seed =
@@ -138,7 +139,7 @@ let gp_config = { Gp.default_config with Gp.rounds = 12; inner_iters = 25 }
 
 let test_gp_overflow_trend () =
   let d = scaled_design ~cells:600 26 in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let r = Gp.run d gp_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let ovs = List.map (fun (ri : Gp.round_info) -> ri.Gp.overflow) r.Gp.trace in
   (match ovs with
@@ -162,7 +163,7 @@ let test_multilevel_vs_flat_hpwl () =
   let d = scaled_design ~cells:800 27 in
   let levels = Coarsen.build ~groups:(dgroups_of d) ~min_cells:150 ~max_levels:2 ~seed:9 d in
   Alcotest.(check bool) "hierarchy engaged" true (levels <> []);
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let flat = Gp.run d gp_config ~cx:(Array.copy qp.Qp.cx) ~cy:(Array.copy qp.Qp.cy) in
   let ml =
     Gp.run_multilevel d gp_config ~levels ~cx:(Array.copy qp.Qp.cx)

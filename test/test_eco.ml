@@ -244,6 +244,16 @@ let test_eco_deterministic () =
     && r1.Eco.flow.Flow.design.Design.y = r2.Eco.flow.Flow.design.Design.y
     && r1.Eco.flow.Flow.design.Design.orient = r2.Eco.flow.Flow.design.Design.orient)
 
+let test_eco_hpwl_init () =
+  (* incremental runs skip init: hpwl_init is the HPWL they start from *)
+  let base = tiny () in
+  let r = Eco.run ~threshold:1.0 ~base (seeded_edits base 5) base_cfg in
+  let f = r.Eco.flow in
+  let start = (List.hd f.Flow.stage_trace).Dpp_report.Trace.hpwl_before in
+  Alcotest.(check bool) "incremental path" false r.Eco.fallback;
+  Alcotest.(check bool) "hpwl_init is the first stage's hpwl_before" true
+    (start > 0.0 && f.Flow.hpwl_init = start && f.Flow.hpwl_gp = start)
+
 let suite =
   [
     Alcotest.test_case "apply preserves ids" `Quick test_apply_preserves_ids;
@@ -256,4 +266,5 @@ let suite =
     Alcotest.test_case "differential xl10k" `Slow test_differential_xl10k;
     Alcotest.test_case "fallback above threshold" `Quick test_fallback_above_threshold;
     Alcotest.test_case "eco deterministic" `Quick test_eco_deterministic;
+    Alcotest.test_case "eco hpwl_init" `Quick test_eco_hpwl_init;
   ]

@@ -10,6 +10,8 @@ module Legality = Dpp_place.Legality
 module Config = Dpp_core.Config
 module Flow = Dpp_core.Flow
 module Compose = Dpp_gen.Compose
+module Trace = Dpp_report.Trace
+module Snapshot = Dpp_core.Checkpoint.Snapshot
 
 let flow_design () =
   Compose.build
@@ -125,6 +127,49 @@ let test_flow_no_groups_ties_baseline () =
     Alcotest.(check bool) "sane ratio" true
       (sa.Flow.hpwl_final /. base.Flow.hpwl_final < 1.3)
 
+let stage_record (r : Flow.result) name =
+  List.find (fun (s : Trace.stage) -> s.Trace.name = name) r.Flow.stage_trace
+
+let test_flow_hpwls_from_trace () =
+  let r = Flow.run (flow_design ()) small_cfg in
+  Alcotest.(check bool) "hpwl_init is the init record's" true
+    (r.Flow.hpwl_init = (stage_record r "init").Trace.hpwl_after);
+  Alcotest.(check bool) "hpwl_legal is the legal record's" true
+    (r.Flow.hpwl_legal = (stage_record r "legal").Trace.hpwl_after)
+
+let test_flow_resume_after_legal () =
+  (* a flow resumed from a checkpoint taken after legal reports the
+     placement it started from, not zeros *)
+  let d = flow_design () in
+  let snap = ref None in
+  let capture (s : Flow.stage) =
+    if s.Flow.name <> "legal" then s
+    else
+      {
+        s with
+        Flow.run =
+          (fun ctx ->
+            let ctx = s.Flow.run ctx in
+            snap := Some (Snapshot.capture ~stage:"legal" ctx);
+            ctx);
+      }
+  in
+  let stages = Flow.stages small_cfg in
+  let full = Flow.run_stages ~stages:(List.map capture stages) d small_cfg in
+  let resumed =
+    Flow.run_stages
+      ~prepare:(Snapshot.restore (Option.get !snap))
+      ~stages:(Flow.resume_stages ~stages ~after:"legal")
+      d small_cfg
+  in
+  let start = (List.hd resumed.Flow.stage_trace).Trace.hpwl_before in
+  Alcotest.(check bool) "hpwl_legal bit-equal to the full run's" true
+    (resumed.Flow.hpwl_legal = full.Flow.hpwl_legal);
+  Alcotest.(check bool) "hpwl_init/gp are the starting HPWL" true
+    (start > 0.0 && resumed.Flow.hpwl_init = start && resumed.Flow.hpwl_gp = start);
+  Alcotest.(check bool) "hpwl_final bit-equal to the full run's" true
+    (resumed.Flow.hpwl_final = full.Flow.hpwl_final)
+
 let suite =
   [
     Alcotest.test_case "baseline legal" `Slow test_flow_baseline_legal;
@@ -137,4 +182,6 @@ let suite =
     Alcotest.test_case "times recorded" `Slow test_flow_times_recorded;
     Alcotest.test_case "run_both" `Slow test_flow_run_both_modes_differ;
     Alcotest.test_case "no-group tie" `Slow test_flow_no_groups_ties_baseline;
+    Alcotest.test_case "hpwls from stage trace" `Slow test_flow_hpwls_from_trace;
+    Alcotest.test_case "resume after legal" `Slow test_flow_resume_after_legal;
   ]

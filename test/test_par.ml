@@ -329,9 +329,8 @@ let test_backend_stages_worker_count_independent () =
     let cy = Array.init nc (fun i -> Design.cell_center_y d i) in
     Pool.with_pool ~nworkers:w @@ fun pool ->
     let legal = Dpp_place.Legal.run d ~pool ~cx ~cy () in
-    let h = Dpp_netlist.Hypergraph.build d in
     let nb = Netbox.build (Pins.build d) ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
-    ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~hypergraph:h ~legal ());
+    ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~legal ());
     let stats =
       Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Dpp_place.Legal.cx
         ~cy:legal.Dpp_place.Legal.cy ()

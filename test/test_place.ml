@@ -7,6 +7,7 @@ module Design = Dpp_netlist.Design
 module Pins = Dpp_wirelen.Pins
 module Hpwl = Dpp_wirelen.Hpwl
 module Qp = Dpp_place.Qp
+module Soa = Dpp_netlist.Soa
 module Gp = Dpp_place.Gp
 module Legal = Dpp_place.Legal
 module Abacus = Dpp_place.Abacus
@@ -48,14 +49,14 @@ let test_qp_pulls_connected_cells_together () =
   ignore (Builder.add_net b [ ao; ci ]);
   ignore (Builder.add_net b [ co; p_right ]);
   let d = Builder.finish b in
-  let r = Qp.run ~seed:1 d in
+  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   Alcotest.(check bool) "a left of c" true (r.Qp.cx.(a) < r.Qp.cx.(c));
   Alcotest.(check bool) "a in left-middle" true (r.Qp.cx.(a) > 10.0 && r.Qp.cx.(a) < 60.0);
   Alcotest.(check bool) "c in right-middle" true (r.Qp.cx.(c) > 40.0 && r.Qp.cx.(c) < 90.0)
 
 let test_qp_inside_die () =
   let d = place_design 71 in
-  let r = Qp.run ~seed:1 d in
+  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let die = d.Design.die in
   Array.iter
     (fun i ->
@@ -67,7 +68,8 @@ let test_qp_inside_die () =
 
 let test_qp_deterministic () =
   let d = place_design 72 in
-  let a = Qp.run ~seed:5 d and b = Qp.run ~seed:5 d in
+  let soa = Soa.of_design d in
+  let a = Qp.run ~seed:5 ~soa d and b = Qp.run ~seed:5 ~soa d in
   Alcotest.(check bool) "same result" true (a.Qp.cx = b.Qp.cx && a.Qp.cy = b.Qp.cy)
 
 let test_qp_improves_hpwl () =
@@ -78,7 +80,7 @@ let test_qp_improves_hpwl () =
   let zero_x = Array.init nc (fun i -> Design.cell_center_x d i) in
   let zero_y = Array.init nc (fun i -> Design.cell_center_y d i) in
   let before = Hpwl.total pins ~cx:zero_x ~cy:zero_y in
-  let r = Qp.run ~seed:1 d in
+  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let after = Hpwl.total pins ~cx:r.Qp.cx ~cy:r.Qp.cy in
   Alcotest.(check bool) "qp reduces wirelength vs piled-at-origin" true (after < before)
 
@@ -86,7 +88,7 @@ let test_qp_improves_hpwl () =
 
 let test_gp_reduces_overflow () =
   let d = place_design 74 in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let grid = Dpp_density.Grid.build d ~nx:16 ~ny:16 in
   let before =
     Dpp_density.Overflow.total_overflow d grid ~target_density:0.9 ~cx:qp.Qp.cx ~cy:qp.Qp.cy
@@ -97,7 +99,7 @@ let test_gp_reduces_overflow () =
 
 let test_gp_trace_monotone_overflow () =
   let d = place_design 75 in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let gp = Gp.run d { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "trace nonempty" true (gp.Gp.trace <> []);
   (* overflow should broadly decrease over rounds *)
@@ -116,7 +118,7 @@ let test_gp_rigid_groups_stay_arrays () =
         sp_utilization = 0.7;
       }
   in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let dgs = Dpp_structure.Dgroup.build_all d d.Design.groups in
   let cfg = { Gp.default_config with Gp.rigid_groups = dgs } in
   let gp = Gp.run d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
@@ -137,7 +139,7 @@ let test_gp_soft_groups_reduce_alignment_error () =
         sp_utilization = 0.7;
       }
   in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let dgs = Dpp_structure.Dgroup.build_all d d.Design.groups in
   let base = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let soft =
@@ -149,7 +151,7 @@ let test_gp_soft_groups_reduce_alignment_error () =
 (* ---------------- Legal + Abacus ---------------- *)
 
 let run_legalization d =
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let legal = Legal.run d ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   Abacus.run d ~target_cx:gp.Gp.cx ~legal ();
@@ -167,7 +169,7 @@ let test_legalization_is_legal () =
 
 let test_legalization_respects_obstacles () =
   let d = place_design 79 in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let die = d.Design.die in
   let ob =
     Rect.make ~xl:die.Rect.xl ~yl:die.Rect.yl
@@ -189,7 +191,7 @@ let test_legalization_respects_obstacles () =
 
 let test_legalization_skip () =
   let d = place_design 80 in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let skip i = i < 5 in
   let legal = Legal.run d ~skip ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
   for i = 0 to 4 do
@@ -201,7 +203,7 @@ let test_legalization_skip () =
 
 let test_abacus_reduces_displacement () =
   let d = place_design 81 in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let legal1 = Legal.run d ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   let disp l =

@@ -8,6 +8,7 @@ module Config = Dpp_core.Config
 module Flow = Dpp_core.Flow
 module Gp = Dpp_place.Gp
 module Qp = Dpp_place.Qp
+module Soa = Dpp_netlist.Soa
 module Rudy = Dpp_congest.Rudy
 module Design = Dpp_netlist.Design
 module Bell = Dpp_density.Bell
@@ -87,7 +88,7 @@ let test_inflation_budget_clamped () =
      raw inflation demand far exceeds the budget; the uniform scale-back
      must keep every ledger entry at or under it *)
   let d = channel in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let cfg = { gp_cfg with Gp.rt_overflow = 0.2; rt_max_inflate = 0.02 } in
   let r = Gp.run d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "ledger non-empty" true (r.Gp.rt_trace <> []);
@@ -134,7 +135,7 @@ let test_rt_disabled_is_clean () =
   (* with routability off the rt machinery must be completely inert:
      empty ledger, and the ledger oracle accepts the empty list *)
   let d = channel in
-  let qp = Qp.run ~seed:1 d in
+  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
   let r = Gp.run d { gp_cfg with Gp.routability = false } ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "no ledger" true (r.Gp.rt_trace = []);
   Alcotest.(check int) "oracle accepts empty ledger" 0

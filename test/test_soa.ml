@@ -1,5 +1,6 @@
 (* Tests for the flat SoA netlist core: the of_design/to_design round
-   trip, CSR adjacency invariants, the x/y/orient aliasing contract, and
+   trip, CSR adjacency invariants (the deduplicated cell<->net adjacency
+   included), the x/y/orient aliasing contract, and
    bit-identity of every SoA kernel against the preserved record-path
    implementations in Dpp_refkernels — on each benchmark preset, with the
    pooled kernels checked at 1/2/4 worker domains. *)
@@ -37,11 +38,31 @@ let test_roundtrip_presets () =
         true (d' = d))
     (designs_under_test ())
 
+(* the deduplicated adjacency against a naive per-net dedup of pin_cell:
+   each net's distinct cells ascending, each cell's distinct nets ascending *)
+let adjacency_is_naive_dedup (s : Soa.t) =
+  let net_cells =
+    Array.init s.Soa.num_nets (fun n ->
+        let lo = I32.get s.Soa.net_pin_off n in
+        List.init (Soa.net_degree s n) (fun k ->
+            I32.get s.Soa.pin_cell (I32.get s.Soa.net_pin (lo + k)))
+        |> List.sort_uniq compare)
+  in
+  let cell_nets = Array.make s.Soa.num_cells [] in
+  for n = s.Soa.num_nets - 1 downto 0 do
+    List.iter (fun c -> cell_nets.(c) <- n :: cell_nets.(c)) net_cells.(n)
+  done;
+  Array.for_all Fun.id
+    (Array.mapi (fun n cs -> Array.to_list (Soa.cells_of_net s n) = cs) net_cells)
+  && Array.for_all Fun.id
+       (Array.mapi (fun c ns -> Array.to_list (Soa.nets_of_cell s c) = ns) cell_nets)
+
 let prop_roundtrip_random =
   QCheck.Test.make ~name:"soa round trip on random designs" ~count:40 QCheck.small_int
     (fun seed ->
       let d = Fuzz.random_design ~seed ~cells:(60 + (seed mod 90)) ~nets:40 in
-      Soa.to_design (Soa.of_design d) = d)
+      let s = Soa.of_design d in
+      Soa.to_design s = d && adjacency_is_naive_dedup s)
 
 let test_roundtrip_shares_nothing () =
   let d = Tutil.random_design 11 in

@@ -144,7 +144,7 @@ let test_snap_geometry () =
   let d = realistic_design () in
   let dgs = Dgroup.build_all d d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap d dgs ~cx ~cy in
+  let placed = Shaping.snap ~pins:(Pins.build d) d dgs ~cx ~cy in
   Alcotest.(check int) "all groups snapped" (List.length dgs) (List.length placed);
   (* footprints: inside the die, on grid, mutually disjoint *)
   List.iter
@@ -170,7 +170,7 @@ let test_snap_apply () =
   let d = realistic_design () in
   let dgs = Dgroup.build_all d d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap d dgs ~cx ~cy in
+  let placed = Shaping.snap ~pins:(Pins.build d) d dgs ~cx ~cy in
   List.iter (fun p -> Shaping.apply p ~cx ~cy) placed;
   (* after apply the alignment error of every snapped group is zero *)
   List.iter
@@ -183,7 +183,8 @@ let test_snap_oversized_left_soft () =
   let d = realistic_design () in
   let dgs = Dgroup.build_all d d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap ~max_die_fraction:0.0001 d dgs ~cx ~cy in
+  let pins = Pins.build d in
+  let placed = Shaping.snap ~max_die_fraction:0.0001 ~pins d dgs ~cx ~cy in
   Alcotest.(check int) "nothing snapped under a tiny cap" 0 (List.length placed)
 
 let suite =
