@@ -39,16 +39,16 @@ let run preset bookshelf min_slices max_degree verbose =
       (List.length r.Dpp_extract.Slicer.groups)
       dt r.Dpp_extract.Slicer.seeds_control r.Dpp_extract.Slicer.seeds_chain
       r.Dpp_extract.Slicer.columns_grown;
-    List.iter
-      (fun g ->
+    List.iter2
+      (fun g (reg : Dpp_structure.Dgroup.regularity) ->
         Printf.printf "  %-8s %3d slices x %3d stages (%4d cells)  coupling %.3f  span %.2f\n"
           g.Dpp_netlist.Groups.g_name
           (Dpp_netlist.Groups.num_slices g)
           (Dpp_netlist.Groups.num_stages g)
           (Dpp_netlist.Groups.cell_count g)
-          (Dpp_structure.Dgroup.internal_coupling d g)
-          (Dpp_structure.Dgroup.slice_span d g))
-      r.Dpp_extract.Slicer.groups;
+          reg.coupling reg.slice_span)
+      r.Dpp_extract.Slicer.groups
+      (Dpp_structure.Dgroup.regularity d r.Dpp_extract.Slicer.groups);
     if d.Dpp_netlist.Design.groups <> [] then begin
       let m =
         Dpp_extract.Exmetrics.compare_to_truth ~truth:d.Dpp_netlist.Design.groups

@@ -32,11 +32,12 @@ type t = {
   target_density : float;
   beta : float;  (** alignment weight knob (dimensionless, 1.0 nominal) *)
   min_coupling : float;
-      (** groups whose {!Dpp_structure.Dgroup.internal_coupling} falls
+      (** groups whose {!Dpp_structure.Dgroup.regularity} coupling falls
           below this are not constrained at all (default 0.7) *)
   max_slice_span : float;
-      (** groups whose {!Dpp_structure.Dgroup.slice_span} exceeds this are
-          not constrained (butterfly wiring; default 1.5) *)
+      (** groups whose {!Dpp_structure.Dgroup.regularity} slice span
+          exceeds this are not constrained (butterfly wiring; default
+          1.5) *)
   gp_rounds : int;
   gp_inner_iters : int;
   overflow_target : float;

@@ -87,19 +87,30 @@ let init_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        let qp = Qp.run ~seed:cfg.Config.seed ~soa:ctx.Ctx.soa d in
+        let qp = Qp.run ~seed:cfg.Config.seed ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa d in
+        let unconverged axis ok iters res =
+          if not ok then
+            Log.warn (fun m ->
+                m "QP %s axis stopped after %d iterations without converging (residual %g)" axis
+                  iters res)
+        in
+        unconverged "x" qp.Qp.converged_x qp.Qp.iterations_x qp.Qp.residual_x;
+        unconverged "y" qp.Qp.converged_y qp.Qp.iterations_y qp.Qp.residual_y;
         Ctx.set_coords ctx qp.Qp.cx qp.Qp.cy;
         (* idealized arrays are oriented by the connectivity-driven initial
            placement, so alignment works with the net forces, not against
            them *)
         (* regularity evaluation: structures dominated by boundary coupling
            lose wirelength when constrained, so they are dropped here *)
+        let groups = ctx.Ctx.groups_used in
         let groups_kept =
-          List.filter
-            (fun g ->
-              Dgroup.internal_coupling d g >= cfg.Config.min_coupling
-              && Dgroup.slice_span d g <= cfg.Config.max_slice_span)
-            ctx.Ctx.groups_used
+          List.combine groups (Dgroup.regularity d groups)
+          |> List.filter_map (fun (g, r) ->
+                 if
+                   r.Dgroup.coupling >= cfg.Config.min_coupling
+                   && r.Dgroup.slice_span <= cfg.Config.max_slice_span
+                 then Some g
+                 else None)
         in
         ctx.Ctx.dgroups <-
           (if groups_kept = [] then []

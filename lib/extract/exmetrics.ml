@@ -12,35 +12,71 @@ type t = {
   f1 : float;
 }
 
-let cell_set groups =
-  let h = Hashtbl.create 1024 in
-  List.iter (fun g -> Array.iter (fun c -> Hashtbl.replace h c ()) (Groups.cell_ids g)) groups;
-  h
+(* cells covered by [ix] (the index spans ids up to the largest member) *)
+let span (ix : Groups.index) = Array.length ix.Groups.ix_ptr - 1
+let covers (ix : Groups.index) c = c < span ix && ix.Groups.ix_ptr.(c + 1) > ix.Groups.ix_ptr.(c)
+
+let count_cells n p =
+  let k = ref 0 in
+  for c = 0 to n - 1 do
+    if p c then incr k
+  done;
+  !k
 
 let compare_to_truth ~truth ~found =
-  let true_set = cell_set truth in
-  let found_set = cell_set found in
-  let correct = ref 0 in
-  Hashtbl.iter (fun c () -> if Hashtbl.mem true_set c then incr correct) found_set;
-  let matched =
-    List.length
-      (List.filter
-         (fun fg -> List.exists (fun tg -> Groups.jaccard fg tg >= 0.5) truth)
-         found)
-  in
-  let nf = Hashtbl.length found_set and nt = Hashtbl.length true_set in
-  let precision = if nf = 0 then 1.0 else float_of_int !correct /. float_of_int nf in
-  let recall = if nt = 0 then 1.0 else float_of_int !correct /. float_of_int nt in
+  let tix = Groups.index truth and fix = Groups.index found in
+  let nt = count_cells (span tix) (covers tix) and nf = count_cells (span fix) (covers fix) in
+  let correct = count_cells (span fix) (fun c -> covers fix c && covers tix c) in
+  (* per found group: count its intersection with each true group it
+     touches, visiting only those through the truth index *)
+  let tptr = tix.Groups.ix_ptr and tgroup = tix.Groups.ix_group in
+  let nt_cells = span tix and nt_groups = List.length truth in
+  let stamp = Array.make (span fix) (-1) in
+  let inter = Array.make nt_groups 0 and seen = Array.make nt_groups (-1) in
+  let touched = Array.make nt_groups 0 in
+  let matched = ref 0 in
+  List.iteri
+    (fun f g ->
+      let ntouched = ref 0 in
+      Array.iter
+        (Array.iter (fun c ->
+             if c >= 0 && stamp.(c) <> f then begin
+               stamp.(c) <- f;
+               if c < nt_cells then
+                 for k = tptr.(c) to tptr.(c + 1) - 1 do
+                   let t = tgroup.(k) in
+                   if seen.(t) <> f then begin
+                     seen.(t) <- f;
+                     inter.(t) <- 0;
+                     touched.(!ntouched) <- t;
+                     incr ntouched
+                   end;
+                   inter.(t) <- inter.(t) + 1
+                 done
+             end))
+        g.Groups.g_rows;
+      (* the ratio Groups.jaccard computes, so the >= 0.5 decision agrees *)
+      let size = fix.Groups.ix_size.(f) in
+      let hit = ref false in
+      for k = 0 to !ntouched - 1 do
+        let t = touched.(k) in
+        let union = size + tix.Groups.ix_size.(t) - inter.(t) in
+        if float_of_int inter.(t) /. float_of_int union >= 0.5 then hit := true
+      done;
+      if !hit then incr matched)
+    found;
+  let precision = if nf = 0 then 1.0 else float_of_int correct /. float_of_int nf in
+  let recall = if nt = 0 then 1.0 else float_of_int correct /. float_of_int nt in
   let f1 =
     if precision +. recall <= 0.0 then 0.0 else 2.0 *. precision *. recall /. (precision +. recall)
   in
   {
-    true_groups = List.length truth;
+    true_groups = nt_groups;
     found_groups = List.length found;
-    matched_groups = matched;
+    matched_groups = !matched;
     true_cells = nt;
     found_cells = nf;
-    correct_cells = !correct;
+    correct_cells = correct;
     precision;
     recall;
     f1;

@@ -68,6 +68,60 @@ let jaccard a b =
   let union = Hashtbl.length sa + Hashtbl.length sb - !inter in
   if union = 0 then 0.0 else float_of_int !inter /. float_of_int union
 
+type index = {
+  ix_ptr : int array;
+  ix_group : int array;
+  ix_slice : int array;
+  ix_size : int array;
+}
+
+let index groups =
+  let ncells =
+    1
+    + List.fold_left
+        (fun acc g -> Array.fold_left (fun acc row -> Array.fold_left max acc row) acc g.g_rows)
+        (-1) groups
+  in
+  (* [seen.(c) = gi] once cell [c] has an entry for group [gi] *)
+  let seen = Array.make ncells (-1) in
+  let ptr = Array.make (ncells + 1) 0 in
+  let size = Array.make (List.length groups) 0 in
+  List.iteri
+    (fun gi g ->
+      Array.iter
+        (Array.iter (fun c ->
+             if c >= 0 && seen.(c) <> gi then begin
+               seen.(c) <- gi;
+               size.(gi) <- size.(gi) + 1;
+               ptr.(c + 1) <- ptr.(c + 1) + 1
+             end))
+        g.g_rows)
+    groups;
+  for c = 0 to ncells - 1 do
+    ptr.(c + 1) <- ptr.(c + 1) + ptr.(c)
+  done;
+  let group = Array.make ptr.(ncells) 0 and slice = Array.make ptr.(ncells) 0 in
+  let next = Array.sub ptr 0 ncells in
+  Array.fill seen 0 ncells (-1);
+  List.iteri
+    (fun gi g ->
+      Array.iteri
+        (fun s row ->
+          Array.iter
+            (fun c ->
+              if c >= 0 then
+                if seen.(c) = gi then slice.(next.(c) - 1) <- s
+                else begin
+                  seen.(c) <- gi;
+                  group.(next.(c)) <- gi;
+                  slice.(next.(c)) <- s;
+                  next.(c) <- next.(c) + 1
+                end)
+            row)
+        g.g_rows)
+    groups;
+  { ix_ptr = ptr; ix_group = group; ix_slice = slice; ix_size = size }
+
 let pp ppf t =
   Format.fprintf ppf "group %s: %d slices x %d stages (%d cells)" t.g_name (num_slices t)
     (num_stages t) (cell_count t)

@@ -40,4 +40,19 @@ val transpose : t -> t
 val jaccard : t -> t -> float
 (** Cell-set Jaccard similarity between two groups. *)
 
+type index = {
+  ix_ptr : int array;
+      (** cell [c]'s entries are [ix_ptr.(c) .. ix_ptr.(c + 1) - 1]; the
+          array covers cells [0 .. Array.length ix_ptr - 2], i.e. up to
+          the largest member id *)
+  ix_group : int array;  (** position of the group in the indexed list *)
+  ix_slice : int array;  (** the cell's slice in that group (the last, if repeated) *)
+  ix_size : int array;  (** distinct member count per group *)
+}
+(** Cell -> group incidence index (CSR), one entry per distinct
+    (cell, group) pair, groups in list order within a cell. *)
+
+val index : t list -> index
+(** Builds the index in O(total slots + largest member id). *)
+
 val pp : Format.formatter -> t -> unit

@@ -4,10 +4,47 @@ module Rect = Dpp_geom.Rect
 module Csr = Dpp_numeric.Csr
 module Pcg = Dpp_numeric.Pcg
 module Rng = Dpp_util.Rng
+module Pool = Dpp_par.Pool
 
-type result = { cx : float array; cy : float array; iterations_x : int; iterations_y : int }
+type result = {
+  cx : float array;
+  cy : float array;
+  iterations_x : int;
+  iterations_y : int;
+  converged_x : bool;
+  converged_y : bool;
+  residual_x : float;
+  residual_y : float;
+}
 
-let run ?(seed = 1) ~(soa : Dpp_netlist.Soa.t) (d : Design.t) =
+let max_iter = 600
+
+(* The two axes share the read-only matrix and are independent solves, so
+   running them on different workers cannot change a bit of either. *)
+let solve_axes pool a bx by =
+  let solve b = Pcg.solve ~max_iter ~tol:1e-7 a b in
+  if Pool.nworkers pool < 2 then
+    let x = solve bx in
+    x, solve by
+  else begin
+    let x = ref None and y = ref None in
+    Pool.run pool (fun w -> if w = 0 then x := Some (solve bx) else if w = 1 then y := Some (solve by));
+    Option.get !x, Option.get !y
+  end
+
+let result cx cy (st_x : Pcg.stats) (st_y : Pcg.stats) =
+  {
+    cx;
+    cy;
+    iterations_x = st_x.iterations;
+    iterations_y = st_y.iterations;
+    converged_x = st_x.converged;
+    converged_y = st_y.converged;
+    residual_x = st_x.residual;
+    residual_y = st_y.residual;
+  }
+
+let run ?(seed = 1) ?(pool = Pool.serial) ~(soa : Dpp_netlist.Soa.t) (d : Design.t) =
   let nc = Design.num_cells d in
   let movable = Design.movable_ids d in
   let m = Array.length movable in
@@ -66,8 +103,7 @@ let run ?(seed = 1) ~(soa : Dpp_netlist.Soa.t) (d : Design.t) =
       by.(v) <- by.(v) +. (anchor *. ctr_y)
     done;
     let a = Csr.Triplets.to_csr trip in
-    let sol_x, st_x = Pcg.solve ~max_iter:600 ~tol:1e-7 a bx in
-    let sol_y, st_y = Pcg.solve ~max_iter:600 ~tol:1e-7 a by in
+    let (sol_x, st_x), (sol_y, st_y) = solve_axes pool a bx by in
     (* scatter, with deterministic one-site jitter to break ties *)
     let rng = Rng.create seed in
     let die = d.Design.die in
@@ -80,6 +116,8 @@ let run ?(seed = 1) ~(soa : Dpp_netlist.Soa.t) (d : Design.t) =
         cx.(i) <- max (die.Rect.xl +. hw) (min (die.Rect.xh -. hw) (sol_x.(v) +. jx));
         cy.(i) <- max (die.Rect.yl +. hh) (min (die.Rect.yh -. hh) (sol_y.(v) +. jy)))
       movable;
-    { cx; cy; iterations_x = st_x.Pcg.iterations; iterations_y = st_y.Pcg.iterations }
+    result cx cy st_x st_y
   end
-  else { cx; cy; iterations_x = 0; iterations_y = 0 }
+  else
+    let idle = { Pcg.iterations = 0; residual = 0.0; converged = true } in
+    result cx cy idle idle

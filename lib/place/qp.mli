@@ -14,8 +14,23 @@ type result = {
   cy : float array;
   iterations_x : int;
   iterations_y : int;
+  converged_x : bool;  (** false when the axis stopped at {!max_iter} *)
+  converged_y : bool;
+  residual_x : float;  (** final PCG residual norm [||b - A x||] *)
+  residual_y : float;
 }
 
-val run : ?seed:int -> soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> result
+val max_iter : int
+(** PCG iteration cap per axis (600). *)
+
+val run :
+  ?seed:int -> ?pool:Dpp_par.Pool.t -> soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> result
 (** [soa] must be the flat view of the design; the net model walks its
-    deduplicated adjacency. *)
+    deduplicated adjacency.
+
+    Both axes share one matrix.  With a [pool] of two or more workers
+    (default {!Dpp_par.Pool.serial}) the x solve runs on worker 0 and the
+    y solve on worker 1 at the same time; with one worker they run one
+    after the other.  Each solve is sequential and reads only its own
+    right-hand side, so the result is bit-identical at every worker
+    count.  Must not be called from inside a job of the same [pool]. *)

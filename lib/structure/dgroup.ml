@@ -102,46 +102,57 @@ let build ?stage_order ?slice_order ?fold (d : Design.t) g =
     height;
   }
 
-let internal_coupling (d : Design.t) g =
-  let members = Groups.member_set g in
-  let intra = ref 0 and boundary = ref 0 in
-  Array.iter
-    (fun (net : Types.net) ->
-      let inside = ref 0 and outside = ref 0 in
-      Array.iter
-        (fun p ->
-          let c = (Design.pin d p).Types.p_cell in
-          if Hashtbl.mem members c then incr inside else incr outside)
-        net.Types.n_pins;
-      if !inside > 0 then
-        if !outside = 0 then intra := !intra + !inside else boundary := !boundary + !inside)
-    d.Design.nets;
-  float_of_int !intra /. float_of_int (max 1 (!intra + !boundary))
+type regularity = { coupling : float; slice_span : float }
 
-let slice_span (d : Design.t) g =
-  let slice_of = Hashtbl.create 256 in
+let regularity (d : Design.t) groups =
+  let ix = Groups.index groups in
+  let ptr = ix.Groups.ix_ptr and grp = ix.Groups.ix_group and slc = ix.Groups.ix_slice in
+  let ncells = Array.length ptr - 1 and ng = List.length groups in
+  let intra = Array.make ng 0 and boundary = Array.make ng 0 in
+  let total = Array.make ng 0.0 and count = Array.make ng 0 in
+  (* per-net scratch, valid for group [g] while [seen.(g)] is the net id *)
+  let seen = Array.make ng (-1) and inside = Array.make ng 0 in
+  let smin = Array.make ng 0 and smax = Array.make ng 0 in
+  let touched = Array.make ng 0 in
   Array.iteri
-    (fun s row -> Array.iter (fun c -> if c >= 0 then Hashtbl.replace slice_of c s) row)
-    g.Groups.g_rows;
-  let total = ref 0.0 and count = ref 0 in
-  Array.iter
-    (fun (net : Types.net) ->
-      let smin = ref max_int and smax = ref min_int and outside = ref false in
+    (fun n (net : Types.net) ->
+      let ntouched = ref 0 in
       Array.iter
         (fun p ->
           let c = (Design.pin d p).Types.p_cell in
-          match Hashtbl.find_opt slice_of c with
-          | Some s ->
-            if s < !smin then smin := s;
-            if s > !smax then smax := s
-          | None -> outside := true)
+          if c < ncells then
+            for k = ptr.(c) to ptr.(c + 1) - 1 do
+              let g = grp.(k) and s = slc.(k) in
+              if seen.(g) <> n then begin
+                seen.(g) <- n;
+                inside.(g) <- 0;
+                smin.(g) <- s;
+                smax.(g) <- s;
+                touched.(!ntouched) <- g;
+                incr ntouched
+              end;
+              inside.(g) <- inside.(g) + 1;
+              if s < smin.(g) then smin.(g) <- s;
+              if s > smax.(g) then smax.(g) <- s
+            done)
         net.Types.n_pins;
-      if (not !outside) && !smax > min_int && !smin < max_int then begin
-        total := !total +. float_of_int (!smax - !smin);
-        incr count
-      end)
+      (* groups are visited in net order, so each float total sums in the
+         same order as a per-group scan over the nets *)
+      for k = 0 to !ntouched - 1 do
+        let g = touched.(k) in
+        if inside.(g) = Array.length net.Types.n_pins then begin
+          intra.(g) <- intra.(g) + inside.(g);
+          total.(g) <- total.(g) +. float_of_int (smax.(g) - smin.(g));
+          count.(g) <- count.(g) + 1
+        end
+        else boundary.(g) <- boundary.(g) + inside.(g)
+      done)
     d.Design.nets;
-  if !count = 0 then 0.0 else !total /. float_of_int !count
+  List.init ng (fun g ->
+      {
+        coupling = float_of_int intra.(g) /. float_of_int (max 1 (intra.(g) + boundary.(g)));
+        slice_span = (if count.(g) = 0 then 0.0 else total.(g) /. float_of_int count.(g));
+      })
 
 let of_movable_macro (d : Design.t) i =
   let c = Design.cell d i in

@@ -58,21 +58,31 @@ val of_movable_macro : Dpp_netlist.Design.t -> int -> t
 val movable_macros : Dpp_netlist.Design.t -> int list
 (** Movable cells taller than one row — the mixed-size population. *)
 
-val internal_coupling : Dpp_netlist.Design.t -> Dpp_netlist.Groups.t -> float
-(** Fraction of the group's pin incidences that lie on group-internal nets
-    (a net with no pin outside the group).  Bit-sliced datapaths score
-    ~0.75+; structures dominated by boundary buses/ports (array multiplier
-    operand rows/columns, tiny register files) score lower, and
-    constraining those loses wirelength — the flow filters on this
-    score, mirroring the paper's "regularity evaluation" step. *)
+type regularity = {
+  coupling : float;
+      (** fraction of the group's pin incidences that lie on
+          group-internal nets (a net with no pin outside the group).
+          Bit-sliced datapaths score ~0.75+; structures dominated by
+          boundary buses/ports (array multiplier operand rows/columns,
+          tiny register files) score lower, and constraining those loses
+          wirelength — the flow filters on this score, mirroring the
+          paper's "regularity evaluation" step. *)
+  slice_span : float;
+      (** mean, over the group's internal nets, of the slice-index span
+          (max - min slice) of the net's members.  Bit-sliced logic scores
+          ~0-1 (slice-local cones and carries); butterfly-style structures
+          (barrel shifters: bit i drives bit i +/- 2^l) score much higher,
+          and a 2-D array placement is anti-optimal for them — the flow's
+          regularity filter rejects groups above a span threshold. *)
+}
 
-val slice_span : Dpp_netlist.Design.t -> Dpp_netlist.Groups.t -> float
-(** Mean, over the group's internal nets, of the slice-index span
-    (max - min slice) of the net's members.  Bit-sliced logic scores ~0-1
-    (slice-local cones and carries); butterfly-style structures (barrel
-    shifters: bit i drives bit i +/- 2^l) score much higher, and a 2-D
-    array placement is anti-optimal for them — the flow's regularity
-    filter rejects groups above a span threshold. *)
+val regularity : Dpp_netlist.Design.t -> Dpp_netlist.Groups.t list -> regularity list
+(** The regularity scores of every group, in list order, from one pass
+    over the nets through a cell -> group index: O(pins + incidences),
+    not O(groups x pins).  Groups may overlap; a cell listed in several
+    slices of one group counts in its last.  Each group's float total is
+    accumulated in net order, so the scores are bit-identical to scanning
+    the nets once per group. *)
 
 val origin_of_positions : t -> cx:float array -> cy:float array -> float * float
 (** The least-squares optimal group origin for the current cell centers:

@@ -192,6 +192,75 @@ let test_metrics_empty () =
   Alcotest.(check (float 1e-9)) "empty precision" 1.0 m.Exmetrics.precision;
   Alcotest.(check (float 1e-9)) "empty recall" 1.0 m.Exmetrics.recall
 
+(* The quadratic definition: hash sets of cells, and List.exists over
+   Groups.jaccard for the group match. *)
+let naive_compare ~truth ~found =
+  let cell_set groups =
+    let h = Hashtbl.create 64 in
+    List.iter (fun g -> Array.iter (fun c -> Hashtbl.replace h c ()) (Groups.cell_ids g)) groups;
+    h
+  in
+  let ts = cell_set truth and fs = cell_set found in
+  let correct = Hashtbl.fold (fun c () n -> if Hashtbl.mem ts c then n + 1 else n) fs 0 in
+  let nf = Hashtbl.length fs and nt = Hashtbl.length ts in
+  let precision = if nf = 0 then 1.0 else float_of_int correct /. float_of_int nf in
+  let recall = if nt = 0 then 1.0 else float_of_int correct /. float_of_int nt in
+  {
+    Exmetrics.true_groups = List.length truth;
+    found_groups = List.length found;
+    matched_groups =
+      List.length
+        (List.filter (fun fg -> List.exists (fun tg -> Groups.jaccard fg tg >= 0.5) truth) found);
+    true_cells = nt;
+    found_cells = nf;
+    correct_cells = correct;
+    precision;
+    recall;
+    f1 =
+      (if precision +. recall <= 0.0 then 0.0
+       else 2.0 *. precision *. recall /. (precision +. recall));
+  }
+
+(* a small id range, so groups overlap, repeat ids and often match; ~1/4
+   holes *)
+let gen_groups =
+  QCheck.Gen.(
+    let slot = frequency [ 1, return (-1); 3, int_range 0 15 ] in
+    let group =
+      pair (int_range 1 4) (int_range 1 4) >>= fun (rows, stages) ->
+      map
+        (fun cells -> Groups.make "g" (Array.of_list (List.map Array.of_list cells)))
+        (list_repeat rows (list_repeat stages slot))
+    in
+    list_size (int_range 0 6) group)
+
+let metrics_bits (m : Exmetrics.t) =
+  ( [ m.true_groups; m.found_groups; m.matched_groups; m.true_cells; m.found_cells; m.correct_cells ],
+    List.map Int64.bits_of_float [ m.precision; m.recall; m.f1 ] )
+
+let prop_metrics_match_naive =
+  QCheck.Test.make ~name:"metrics equal the quadratic definition" ~count:500
+    (QCheck.make
+       ~print:(fun (t, f) ->
+         Format.asprintf "truth %a@ found %a"
+           (Format.pp_print_list Groups.pp) t (Format.pp_print_list Groups.pp) f)
+       (* every other true group is also found verbatim *)
+       QCheck.Gen.(
+         map2
+           (fun truth extra -> (truth, extra @ List.filteri (fun i _ -> i mod 2 = 0) truth))
+           gen_groups gen_groups))
+    (fun (truth, found) ->
+      metrics_bits (Exmetrics.compare_to_truth ~truth ~found)
+      = metrics_bits (naive_compare ~truth ~found))
+
+let test_metrics_extracted_match_naive () =
+  (* a real extraction: many found groups against the generator's truth *)
+  let d = alu_design () in
+  let found = (Slicer.run d Slicer.default_config).Slicer.groups and truth = d.Design.groups in
+  Alcotest.(check bool) "same fields" true
+    (metrics_bits (Exmetrics.compare_to_truth ~truth ~found)
+    = metrics_bits (naive_compare ~truth ~found))
+
 let suite =
   [
     Alcotest.test_case "netclass" `Quick test_netclass;
@@ -209,4 +278,6 @@ let suite =
     Alcotest.test_case "metrics perfect" `Quick test_metrics_perfect;
     Alcotest.test_case "metrics partial" `Quick test_metrics_partial;
     Alcotest.test_case "metrics empty" `Quick test_metrics_empty;
+    QCheck_alcotest.to_alcotest prop_metrics_match_naive;
+    Alcotest.test_case "metrics extracted match naive" `Quick test_metrics_extracted_match_naive;
   ]

@@ -72,6 +72,44 @@ let test_qp_deterministic () =
   let a = Qp.run ~seed:5 ~soa d and b = Qp.run ~seed:5 ~soa d in
   Alcotest.(check bool) "same result" true (a.Qp.cx = b.Qp.cx && a.Qp.cy = b.Qp.cy)
 
+(* the two axes on two workers must reproduce the serial solve exactly *)
+let check_qp_pool_matches_serial d =
+  let soa = Soa.of_design d in
+  let serial = Qp.run ~seed:3 ~soa d in
+  let par = Dpp_par.Pool.with_pool ~nworkers:2 (fun pool -> Qp.run ~seed:3 ~pool ~soa d) in
+  let bits a = Array.map Int64.bits_of_float a in
+  Alcotest.(check (array int64)) "cx" (bits serial.Qp.cx) (bits par.Qp.cx);
+  Alcotest.(check (array int64)) "cy" (bits serial.Qp.cy) (bits par.Qp.cy);
+  Alcotest.(check int) "iterations x" serial.Qp.iterations_x par.Qp.iterations_x;
+  Alcotest.(check int) "iterations y" serial.Qp.iterations_y par.Qp.iterations_y;
+  Alcotest.(check (pair bool bool)) "converged"
+    (serial.Qp.converged_x, serial.Qp.converged_y) (par.Qp.converged_x, par.Qp.converged_y);
+  Alcotest.(check (pair int64 int64)) "residuals"
+    (Int64.bits_of_float serial.Qp.residual_x, Int64.bits_of_float serial.Qp.residual_y)
+    (Int64.bits_of_float par.Qp.residual_x, Int64.bits_of_float par.Qp.residual_y)
+
+let test_qp_pool_dp_mix_s () =
+  let spec = Option.get (Dpp_gen.Presets.by_name "dp_mix_s") in
+  check_qp_pool_matches_serial (Compose.build spec)
+
+let test_qp_pool_xl10k () =
+  check_qp_pool_matches_serial (Option.get (Dpp_gen.Xl.by_name ~seed:1 "xl10k"))
+
+let test_qp_reports_cap () =
+  (* xl10k stops at the iteration cap on both axes; the result says so *)
+  let d = Option.get (Dpp_gen.Xl.by_name ~seed:1 "xl10k") in
+  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  Alcotest.(check (pair int int)) "at the cap" (Qp.max_iter, Qp.max_iter)
+    (r.Qp.iterations_x, r.Qp.iterations_y);
+  Alcotest.(check (pair bool bool)) "not converged" (false, false)
+    (r.Qp.converged_x, r.Qp.converged_y);
+  Alcotest.(check bool) "residuals positive" true (r.Qp.residual_x > 0.0 && r.Qp.residual_y > 0.0);
+  (* and a small design converges well inside it *)
+  let d = place_design 74 in
+  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  Alcotest.(check (pair bool bool)) "small design converges" (true, true)
+    (r.Qp.converged_x, r.Qp.converged_y)
+
 let test_qp_improves_hpwl () =
   let d = place_design 73 in
   let pins = Pins.build d in
@@ -276,6 +314,9 @@ let suite =
     Alcotest.test_case "qp inside die" `Quick test_qp_inside_die;
     Alcotest.test_case "qp deterministic" `Quick test_qp_deterministic;
     Alcotest.test_case "qp improves hpwl" `Quick test_qp_improves_hpwl;
+    Alcotest.test_case "qp 2 workers = serial (dp_mix_s)" `Quick test_qp_pool_dp_mix_s;
+    Alcotest.test_case "qp 2 workers = serial (xl10k)" `Quick test_qp_pool_xl10k;
+    Alcotest.test_case "qp reports iteration cap" `Quick test_qp_reports_cap;
     Alcotest.test_case "gp reduces overflow" `Slow test_gp_reduces_overflow;
     Alcotest.test_case "gp trace" `Slow test_gp_trace_monotone_overflow;
     Alcotest.test_case "gp rigid groups" `Slow test_gp_rigid_groups_stay_arrays;

@@ -86,12 +86,83 @@ let test_dgroup_alignment_error_zero_at_array () =
 let test_dgroup_internal_coupling () =
   let d = array_design () in
   (* all nets in this toy design are internal to the group *)
-  Alcotest.(check (float 1e-9)) "fully internal" 1.0 (Dgroup.internal_coupling d (the_group d))
+  Alcotest.(check (float 1e-9)) "fully internal" 1.0 
+    (List.hd (Dgroup.regularity d [ the_group d ])).Dgroup.coupling
 
 let test_dgroup_slice_span () =
   let d = array_design () in
   (* all nets are slice-local: span 0 *)
-  Alcotest.(check (float 1e-9)) "slice-local" 0.0 (Dgroup.slice_span d (the_group d))
+  Alcotest.(check (float 1e-9)) "slice-local" 0.0 
+    (List.hd (Dgroup.regularity d [ the_group d ])).Dgroup.slice_span
+
+(* The per-group definitions, one scan of every net per group: the
+   oracle for the one-pass batch. *)
+let oracle_coupling (d : Design.t) g =
+  let members = Groups.member_set g in
+  let intra = ref 0 and boundary = ref 0 in
+  Array.iter
+    (fun (net : Types.net) ->
+      let inside = ref 0 and outside = ref 0 in
+      Array.iter
+        (fun p -> if Hashtbl.mem members (Design.pin d p).Types.p_cell then incr inside else incr outside)
+        net.Types.n_pins;
+      if !inside > 0 then
+        if !outside = 0 then intra := !intra + !inside else boundary := !boundary + !inside)
+    d.Design.nets;
+  float_of_int !intra /. float_of_int (max 1 (!intra + !boundary))
+
+let oracle_slice_span (d : Design.t) g =
+  let slice_of = Hashtbl.create 256 in
+  Array.iteri
+    (fun s row -> Array.iter (fun c -> if c >= 0 then Hashtbl.replace slice_of c s) row)
+    g.Groups.g_rows;
+  let total = ref 0.0 and count = ref 0 in
+  Array.iter
+    (fun (net : Types.net) ->
+      let smin = ref max_int and smax = ref min_int and outside = ref false in
+      Array.iter
+        (fun p ->
+          match Hashtbl.find_opt slice_of (Design.pin d p).Types.p_cell with
+          | Some s ->
+            if s < !smin then smin := s;
+            if s > !smax then smax := s
+          | None -> outside := true)
+        net.Types.n_pins;
+      if (not !outside) && !smax > min_int then begin
+        total := !total +. float_of_int (!smax - !smin);
+        incr count
+      end)
+    d.Design.nets;
+  if !count = 0 then 0.0 else !total /. float_of_int !count
+
+let regularity_matches_oracle d groups =
+  List.for_all2
+    (fun g (r : Dgroup.regularity) ->
+      Int64.bits_of_float r.Dgroup.coupling = Int64.bits_of_float (oracle_coupling d g)
+      && Int64.bits_of_float r.Dgroup.slice_span = Int64.bits_of_float (oracle_slice_span d g))
+    groups (Dgroup.regularity d groups)
+
+let test_regularity_ground_truth () =
+  let d = Compose.build (Option.get (Dpp_gen.Presets.by_name "dp_mix_s")) in
+  Alcotest.(check bool) "has groups" true (List.length d.Design.groups > 1);
+  Alcotest.(check bool) "bit-equal to per-group scans" true
+    (regularity_matches_oracle d d.Design.groups)
+
+(* random groups over a random design: holes, ids repeated within and
+   across groups, groups of nothing but holes *)
+let prop_regularity_random =
+  QCheck.Test.make ~name:"regularity equals per-group scans" ~count:200 QCheck.small_nat
+    (fun seed ->
+      let d = Tutil.random_design ~cells:20 ~nets:30 seed in
+      let rng = Dpp_util.Rng.create (seed + 1) in
+      let groups =
+        List.init (Dpp_util.Rng.int rng 5) (fun _ ->
+            let rows = 1 + Dpp_util.Rng.int rng 4 and stages = 1 + Dpp_util.Rng.int rng 4 in
+            Groups.make "g"
+              (Array.init rows (fun _ ->
+                   Array.init stages (fun _ -> Dpp_util.Rng.int rng 24 - 3 |> max (-1)))))
+      in
+      regularity_matches_oracle d groups)
 
 (* ---------------- Alignment ---------------- *)
 
@@ -194,6 +265,8 @@ let suite =
     Alcotest.test_case "dgroup zero error at array" `Quick test_dgroup_alignment_error_zero_at_array;
     Alcotest.test_case "dgroup internal coupling" `Quick test_dgroup_internal_coupling;
     Alcotest.test_case "dgroup slice span" `Quick test_dgroup_slice_span;
+    Alcotest.test_case "regularity ground truth" `Quick test_regularity_ground_truth;
+    QCheck_alcotest.to_alcotest prop_regularity_random;
     Alcotest.test_case "alignment zero/positive" `Quick test_alignment_zero_and_positive;
     Alcotest.test_case "alignment translation invariant" `Quick test_alignment_translation_invariant;
     Alcotest.test_case "alignment gradient fd" `Quick test_alignment_gradient_fd;
