@@ -123,7 +123,23 @@ let create ?frozen ?soa (d : Design.t) ~grid ~target_density =
    callback taking float arguments (the old [iter_window] helper) boxes
    them on every bin visit, which used to dominate the kernels'
    allocation.  lib/refkernels keeps an independent closure-based copy of
-   the window walk as the equivalence oracle. *)
+   the window walk as the equivalence oracle.
+
+   Window bounds and bin centers are scalar helpers local to this module
+   rather than calls into {!Grid}: under the [-opaque] dev build a
+   cross-module call is never inlined, so [Grid.range_of_interval] would
+   box its float arguments and return a tuple per cell and axis.  The
+   helpers evaluate [Grid]'s exact expressions, clamp order included. *)
+
+(* [max 0 (min (n-1) v)] on ints, without the polymorphic [min]/[max]. *)
+let[@inline] clamp_bin n v =
+  let v = if n - 1 <= v then n - 1 else v in
+  if 0 >= v then 0 else v
+
+(* First and last bin a window [lo, hi) touches on one axis. *)
+let[@inline] first_bin ~origin ~step ~n lo = clamp_bin n (int_of_float (floor ((lo -. origin) /. step)))
+let[@inline] last_bin ~origin ~step ~n hi = clamp_bin n (int_of_float (ceil ((hi -. origin) /. step)) - 1)
+let[@inline] bin_center ~origin ~step i = origin +. ((float_of_int i +. 0.5) *. step)
 
 (* Scatter one cell's bell contribution into [phi].  The per-column theta
    values are hoisted into [tx_row] once per cell instead of being
@@ -133,21 +149,19 @@ let create ?frozen ?soa (d : Design.t) ~grid ~target_density =
 let scatter_cell t ~(tx_row : float array) (phi : float array) i x y cv =
   let g = t.grid in
   let rx = t.radius_x.(i) and ry = t.radius_y.(i) in
-  let ix0, ix1 =
-    Grid.range_of_interval ~lo:(x -. rx) ~hi:(x +. rx) ~origin:g.Grid.die.Rect.xl
-      ~step:g.Grid.bin_w ~n:g.Grid.nx
-  in
-  let iy0, iy1 =
-    Grid.range_of_interval ~lo:(y -. ry) ~hi:(y +. ry) ~origin:g.Grid.die.Rect.yl
-      ~step:g.Grid.bin_h ~n:g.Grid.ny
-  in
+  let ox = g.Grid.die.Rect.xl and sx = g.Grid.bin_w and nx = g.Grid.nx in
+  let oy = g.Grid.die.Rect.yl and sy = g.Grid.bin_h and ny = g.Grid.ny in
+  let ix0 = first_bin ~origin:ox ~step:sx ~n:nx (x -. rx) in
+  let ix1 = last_bin ~origin:ox ~step:sx ~n:nx (x +. rx) in
+  let iy0 = first_bin ~origin:oy ~step:sy ~n:ny (y -. ry) in
+  let iy1 = last_bin ~origin:oy ~step:sy ~n:ny (y +. ry) in
   for ix = ix0 to ix1 do
-    tx_row.(ix) <- theta ~r:rx (x -. Grid.bin_center_x g ix)
+    tx_row.(ix) <- theta ~r:rx (x -. bin_center ~origin:ox ~step:sx ix)
   done;
   for iy = iy0 to iy1 do
-    let ty = theta ~r:ry (y -. Grid.bin_center_y g iy) in
+    let ty = theta ~r:ry (y -. bin_center ~origin:oy ~step:sy iy) in
     if ty > 0.0 then begin
-      let row = iy * g.Grid.nx in
+      let row = iy * nx in
       for ix = ix0 to ix1 do
         let tx = tx_row.(ix) in
         if tx > 0.0 then phi.(row + ix) <- phi.(row + ix) +. (cv *. tx *. ty)
@@ -182,25 +196,23 @@ let grad_cell t ~(tx_row : float array) ~(dtx_row : float array) i x y cv ~(gx :
     ~(gy : float array) =
   let g = t.grid in
   let rx = t.radius_x.(i) and ry = t.radius_y.(i) in
-  let ix0, ix1 =
-    Grid.range_of_interval ~lo:(x -. rx) ~hi:(x +. rx) ~origin:g.Grid.die.Rect.xl
-      ~step:g.Grid.bin_w ~n:g.Grid.nx
-  in
-  let iy0, iy1 =
-    Grid.range_of_interval ~lo:(y -. ry) ~hi:(y +. ry) ~origin:g.Grid.die.Rect.yl
-      ~step:g.Grid.bin_h ~n:g.Grid.ny
-  in
+  let ox = g.Grid.die.Rect.xl and sx = g.Grid.bin_w and nx = g.Grid.nx in
+  let oy = g.Grid.die.Rect.yl and sy = g.Grid.bin_h and ny = g.Grid.ny in
+  let ix0 = first_bin ~origin:ox ~step:sx ~n:nx (x -. rx) in
+  let ix1 = last_bin ~origin:ox ~step:sx ~n:nx (x +. rx) in
+  let iy0 = first_bin ~origin:oy ~step:sy ~n:ny (y -. ry) in
+  let iy1 = last_bin ~origin:oy ~step:sy ~n:ny (y +. ry) in
   for ix = ix0 to ix1 do
-    let dx = x -. Grid.bin_center_x g ix in
+    let dx = x -. bin_center ~origin:ox ~step:sx ix in
     tx_row.(ix) <- theta ~r:rx dx;
     dtx_row.(ix) <- theta_deriv ~r:rx dx
   done;
   for iy = iy0 to iy1 do
-    let dy = y -. Grid.bin_center_y g iy in
+    let dy = y -. bin_center ~origin:oy ~step:sy iy in
     let ty = theta ~r:ry dy in
     if ty > 0.0 then begin
       let dty = theta_deriv ~r:ry dy in
-      let row = iy * g.Grid.nx in
+      let row = iy * nx in
       for ix = ix0 to ix1 do
         let tx = tx_row.(ix) in
         if tx > 0.0 then begin

@@ -8,12 +8,14 @@
    the GC never scans them.
 
    Accessors come in two flavours: [get]/[set] are bounds-checked and
-   are what non-kernel code should use; [uget]/[uset] compile to a bare
-   load/store (plus sign-extension) and are for the hot kernels that
-   iterate CSR ranges whose bounds are established by construction.
-   All of them exchange plain [int]/[float] values, so a kernel ported
-   from a boxed [int array] reads identically and — the values being
-   exact — produces bit-identical floats.
+   are what non-kernel code should use; the unchecked ones are for the
+   hot kernels that iterate CSR ranges whose bounds are established by
+   construction.  All of them but [I32.unsafe_get] exchange plain
+   [int]/[float] values, so a kernel ported from a boxed [int array]
+   reads identically and — the values being exact — produces
+   bit-identical floats.  The per-element unchecked accessors are
+   [external] primitives so they inline even under dune's [-opaque] dev
+   build; compact.mli explains why.
 
    [I32.guard] is the build-time overflow gate: callers that are about
    to store counts (CSR offsets, entity ids) must pass the largest one
@@ -44,7 +46,9 @@ module I32 = struct
   let length : t -> int = A1.dim
   let get (a : t) i = Int32.to_int (A1.get a i)
   let set (a : t) i v = A1.set a i (Int32.of_int v)
-  let uget (a : t) i = Int32.to_int (A1.unsafe_get a i)
+  external unsafe_get : t -> int -> int32 = "%caml_ba_unsafe_ref_1"
+
+  let uget (a : t) i = Int32.to_int (unsafe_get a i)
   let uset (a : t) i v = A1.unsafe_set a i (Int32.of_int v)
 
   let of_array ~what (xs : int array) : t =
@@ -77,8 +81,8 @@ module I8 = struct
   let length : t -> int = A1.dim
   let get (a : t) i : int = A1.get a i
   let set (a : t) i (v : int) = A1.set a i v
-  let uget (a : t) i : int = A1.unsafe_get a i
-  let uset (a : t) i (v : int) = A1.unsafe_set a i v
+  external uget : t -> int -> int = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 end
 
 module F64 = struct
@@ -92,8 +96,8 @@ module F64 = struct
   let length : t -> int = A1.dim
   let get (a : t) i : float = A1.get a i
   let set (a : t) i (v : float) = A1.set a i v
-  let uget (a : t) i : float = A1.unsafe_get a i
-  let uset (a : t) i (v : float) = A1.unsafe_set a i v
+  external uget : t -> int -> float = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   let of_array (xs : float array) : t = A1.of_array BA.float64 BA.c_layout xs
   let to_array (a : t) = Array.init (A1.dim a) (fun i -> uget a i)
 end

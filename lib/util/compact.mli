@@ -4,9 +4,20 @@
 
     Payloads live outside the OCaml heap: the GC never scans them and
     they cost exactly 4, 1 or 8 bytes per element.  [get]/[set] are
-    bounds-checked; [uget]/[uset] are the unchecked variants for hot
-    kernels whose index ranges are correct by construction (CSR walks).
-    All accessors exchange plain [int]/[float] values. *)
+    bounds-checked; [uget]/[uset] and [I32.unsafe_get] are the unchecked
+    variants for hot kernels whose index ranges are correct by
+    construction (CSR walks).  All accessors but [I32.unsafe_get]
+    exchange plain [int]/[float] values.
+
+    {b Why the unchecked accessors are [external]s.}  Dune's default dev
+    profile (the one tests, CI and the repo benchmark build with) passes
+    [-opaque], so no [val] is inlined across modules: every per-element
+    call to a [val] accessor is an out-of-line call, and a [val]
+    returning a float boxes it on the minor heap.  A [%caml_ba_*]
+    primitive declared [external] is expanded at each call site under
+    any build profile into a bare load or store.  Hot kernels therefore
+    read CSR entries as [Int32.to_int (I32.unsafe_get a i)] (both halves
+    are primitives) and floats through [F64.uget]/[uset]. *)
 
 module I32 : sig
   type t = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
@@ -28,6 +39,11 @@ module I32 : sig
   val uget : t -> int -> int
   val uset : t -> int -> int -> unit
 
+  external unsafe_get : t -> int -> int32 = "%caml_ba_unsafe_ref_1"
+  (** Unchecked raw load; [Int32.to_int (unsafe_get a i) = uget a i], but
+      inlined at every call site — the per-element CSR read of the hot
+      kernels. *)
+
   val of_array : what:string -> int array -> t
   (** Copies, passing every element through {!guard}. *)
 
@@ -43,8 +59,8 @@ module I8 : sig
   val length : t -> int
   val get : t -> int -> int
   val set : t -> int -> int -> unit
-  val uget : t -> int -> int
-  val uset : t -> int -> int -> unit
+  external uget : t -> int -> int = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> int -> unit = "%caml_ba_unsafe_set_1"
 end
 
 module F64 : sig
@@ -54,8 +70,8 @@ module F64 : sig
   val length : t -> int
   val get : t -> int -> float
   val set : t -> int -> float -> unit
-  val uget : t -> int -> float
-  val uset : t -> int -> float -> unit
+  external uget : t -> int -> float = "%caml_ba_unsafe_ref_1"
+  external uset : t -> int -> float -> unit = "%caml_ba_unsafe_set_1"
   val of_array : float array -> t
   val to_array : t -> float array
 end

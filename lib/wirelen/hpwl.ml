@@ -1,6 +1,6 @@
 module Soa = Dpp_netlist.Soa
 
-let net t ~cx ~cy n =
+let[@inline] net t ~cx ~cy n =
   let k = Pins.load_net t ~cx ~cy n in
   if k < 2 then 0.0
   else begin

@@ -37,7 +37,24 @@ val axis_value_grad :
   float
 (** The per-net, per-axis building block over the first [k] entries of a
     scratch buffer; with [want_grad] the softmax weights land in [w].
-    Exposed for {!Par_grad} (which runs it per net on worker domains) and
-    the batched finite-difference oracle — the per-net arithmetic is
-    {e exactly} what {!value_grad} runs, which is what makes the parallel
-    path bit-identical to the serial one. *)
+    Exposed for the batched finite-difference oracle — the per-axis
+    arithmetic is {e exactly} what {!value_grad} and {!net_into} run. *)
+
+val net_into :
+  Pins.t ->
+  gamma:float ->
+  cx:float array ->
+  cy:float array ->
+  want_grad:bool ->
+  net_val:float array ->
+  pin_gx:float array ->
+  pin_gy:float array ->
+  int ->
+  unit
+(** [net_into view ... n] evaluates net [n] with {!value_grad}'s exact
+    per-net arithmetic and {e stores} (does not accumulate) the results:
+    the weighted value into [net_val.(n)] (0 for degree < 2) and, with
+    [want_grad], each pin's weighted gradient into [pin_gx]/[pin_gy] at
+    the pin's id.  {!Par_grad} runs it per net on worker domains, each
+    with its own scratch [view]; the value never leaves this module as a
+    boxed float. *)

@@ -2,6 +2,8 @@ module Soa = Dpp_netlist.Soa
 module I32 = Dpp_util.Compact.I32
 module Pool = Dpp_par.Pool
 
+let[@inline] uget a i = Int32.to_int (I32.unsafe_get a i)
+
 type t = {
   pins : Pins.t;
   views : Pins.t array;  (* per-worker scratch views over the shared geometry *)
@@ -20,36 +22,19 @@ let create pool pins =
     pin_gy = Array.make (max 1 (Soa.num_pins s)) 0.0;
   }
 
-let axis_kernel = function
-  | Model.Lse -> Lse.axis_value_grad
-  | Model.Wa -> Wa.axis_value_grad
-
 (* Fan-out: each worker evaluates whole nets into slots owned by exactly
    one net (net_val) or one pin (pin_gx / pin_gy), so the stored values
-   are independent of how nets were partitioned across workers. *)
+   are independent of how nets were partitioned across workers.  The
+   per-net kernel is a whole-net call into the model's own module, where
+   the axis kernel inlines: no per-net float crosses a module boundary,
+   so nothing is boxed. *)
 let scan t pool kind ~gamma ~cx ~cy ~want_grad =
-  let s = t.pins.Pins.soa in
-  let axis = axis_kernel kind in
-  Pool.iter_chunks pool ~n:(Soa.num_nets s) (fun ~worker ~chunk:_ ~lo ~hi ->
+  let net_into = match kind with Model.Lse -> Lse.net_into | Model.Wa -> Wa.net_into in
+  let net_val = t.net_val and pin_gx = t.pin_gx and pin_gy = t.pin_gy in
+  Pool.iter_chunks pool ~n:(Soa.num_nets t.pins.Pins.soa) (fun ~worker ~chunk:_ ~lo ~hi ->
       let view = t.views.(worker) in
       for n = lo to hi - 1 do
-        let plo = I32.uget s.Soa.net_pin_off n in
-        let k = Pins.load_net view ~cx ~cy n in
-        if k >= 2 then begin
-          let wn = s.Soa.net_weight.(n) in
-          let vx = axis view.Pins.scratch_x k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
-          if want_grad then
-            for i = 0 to k - 1 do
-              t.pin_gx.(I32.uget s.Soa.net_pin (plo + i)) <- wn *. view.Pins.scratch_w.(i)
-            done;
-          let vy = axis view.Pins.scratch_y k ~gamma ~w:view.Pins.scratch_w ~u:view.Pins.scratch_u ~v:view.Pins.scratch_v ~want_grad in
-          if want_grad then
-            for i = 0 to k - 1 do
-              t.pin_gy.(I32.uget s.Soa.net_pin (plo + i)) <- wn *. view.Pins.scratch_w.(i)
-            done;
-          t.net_val.(n) <- wn *. (vx +. vy)
-        end
-        else t.net_val.(n) <- 0.0
+        net_into view ~gamma ~cx ~cy ~want_grad ~net_val ~pin_gx ~pin_gy n
       done)
 
 (* Reduce on the calling domain, in exactly the serial kernel's order:
@@ -63,17 +48,17 @@ let reduce t ~want_grad ~gx ~gy =
   let net_pin = s.Soa.net_pin in
   let acc = ref 0.0 in
   for n = 0 to Soa.num_nets s - 1 do
-    let lo = I32.uget s.Soa.net_pin_off n and hi = I32.uget s.Soa.net_pin_off (n + 1) in
+    let lo = uget s.Soa.net_pin_off n and hi = uget s.Soa.net_pin_off (n + 1) in
     if hi - lo >= 2 then begin
       if want_grad then begin
         for i = lo to hi - 1 do
-          let p = I32.uget net_pin i in
-          let c = I32.uget pin_cell p in
+          let p = uget net_pin i in
+          let c = uget pin_cell p in
           gx.(c) <- gx.(c) +. t.pin_gx.(p)
         done;
         for i = lo to hi - 1 do
-          let p = I32.uget net_pin i in
-          let c = I32.uget pin_cell p in
+          let p = uget net_pin i in
+          let c = uget pin_cell p in
           gy.(c) <- gy.(c) +. t.pin_gy.(p)
         done
       end;

@@ -1,8 +1,8 @@
 (** Domain-parallel evaluation of the smooth wirelength models.
 
     Nets are fanned out over the pool in fixed static chunks; each worker
-    evaluates its nets with the {e exact} per-net serial kernels
-    ({!Lse.axis_value_grad} / {!Wa.axis_value_grad}) into per-net value
+    evaluates its nets with the {e exact} per-net serial arithmetic
+    ({!Lse.net_into} / {!Wa.net_into}) into per-net value
     slots and per-pin gradient slots, and the calling domain reduces those
     slots in the serial kernel's own order (nets ascending; per cell, pins
     ordered by net then position).

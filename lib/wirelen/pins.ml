@@ -4,6 +4,8 @@ module Types = Dpp_netlist.Types
 module I32 = Dpp_util.Compact.I32
 module F64 = Dpp_util.Compact.F64
 
+let[@inline] uget a i = Int32.to_int (I32.unsafe_get a i)
+
 type t = {
   soa : Soa.t;
   pin_cell : I32.t;
@@ -22,9 +24,10 @@ let of_soa (s : Soa.t) =
   let off_x = Array.make np 0.0 in
   let off_y = Array.make np 0.0 in
   for p = 0 to np - 1 do
-    let ci = I32.uget s.Soa.pin_cell p in
+    let ci = uget s.Soa.pin_cell p in
     (* offsets respect the cell's orientation at build time (orientation is
-       constant during an optimization phase; the flip pass rebuilds) *)
+       constant during an optimization phase; the flip pass mirrors the
+       offsets in place, see [flip_cell_x]) *)
     let dx, dy =
       Dpp_geom.Orient.apply_offset s.Soa.orient.(ci) ~w:s.Soa.width.(ci) ~h:s.Soa.height.(ci)
         (F64.uget s.Soa.pin_dx p, F64.uget s.Soa.pin_dy p)
@@ -68,20 +71,20 @@ let clone_scratch t =
 
 let flip_cell_x t i =
   let s = t.soa in
-  for k = I32.uget s.Soa.cell_pin_off i to I32.uget s.Soa.cell_pin_off (i + 1) - 1 do
-    let p = I32.uget s.Soa.cell_pin k in
+  for k = uget s.Soa.cell_pin_off i to uget s.Soa.cell_pin_off (i + 1) - 1 do
+    let p = uget s.Soa.cell_pin k in
     t.off_x.(p) <- -.t.off_x.(p)
   done
 
-let pin_x t ~cx p = Array.unsafe_get cx (I32.uget t.pin_cell p) +. Array.unsafe_get t.off_x p
-let pin_y t ~cy p = Array.unsafe_get cy (I32.uget t.pin_cell p) +. Array.unsafe_get t.off_y p
+let[@inline] pin_x t ~cx p = Array.unsafe_get cx (uget t.pin_cell p) +. Array.unsafe_get t.off_x p
+let[@inline] pin_y t ~cy p = Array.unsafe_get cy (uget t.pin_cell p) +. Array.unsafe_get t.off_y p
 
 let load_net t ~cx ~cy n =
   let s = t.soa in
-  let lo = I32.uget s.Soa.net_pin_off n in
-  let k = I32.uget s.Soa.net_pin_off (n + 1) - lo in
+  let lo = uget s.Soa.net_pin_off n in
+  let k = uget s.Soa.net_pin_off (n + 1) - lo in
   for i = 0 to k - 1 do
-    let p = I32.uget s.Soa.net_pin (lo + i) in
+    let p = uget s.Soa.net_pin (lo + i) in
     t.scratch_x.(i) <- pin_x t ~cx p;
     t.scratch_y.(i) <- pin_y t ~cy p
   done;

@@ -3,7 +3,7 @@
     Global placement treats every cell as its center point plus fixed pin
     offsets, evaluated at the orientation each cell has when the structure
     is built (orientations are constant within an optimization phase; the
-    flip pass rebuilds).  This caches, per pin, the offset of the pin from
+    flip pass mirrors the x offsets in place).  This caches, per pin, the offset of the pin from
     its cell center, and carries the flat {!Dpp_netlist.Soa} view the hot
     kernels iterate — model evaluation never touches the cell records. *)
 

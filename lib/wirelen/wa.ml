@@ -1,12 +1,14 @@
 module Soa = Dpp_netlist.Soa
 module I32 = Dpp_util.Compact.I32
 
+let[@inline] uget a i = Int32.to_int (I32.unsafe_get a i)
+
 (* Weighted-average on one axis over scratch [a.(0..k-1)].  Fills [w] with
    d(value)/d(a_i) when [want_grad].  [u]/[v] cache the per-pin exponentials
    of the summation loop so the gradient loop never recomputes them ([exp]
    dominates the kernel); the cached values are the exact floats the old
    recomputation produced, so results are bit-identical. *)
-let axis_value_grad (a : float array) k ~gamma ~(w : float array) ~(u : float array)
+let[@inline] axis_value_grad (a : float array) k ~gamma ~(w : float array) ~(u : float array)
     ~(v : float array) ~want_grad =
   let amax = ref a.(0) and amin = ref a.(0) in
   for i = 1 to k - 1 do
@@ -55,23 +57,46 @@ let value_grad t ~gamma ~cx ~cy ~gx ~gy =
   let acc = ref 0.0 in
   let s = t.Pins.soa in
   for n = 0 to Soa.num_nets s - 1 do
-    let lo = I32.uget s.Soa.net_pin_off n in
+    let lo = uget s.Soa.net_pin_off n in
     let k = Pins.load_net t ~cx ~cy n in
     if k >= 2 then begin
       let wn = s.Soa.net_weight.(n) in
       let vx = axis_value_grad t.Pins.scratch_x k ~gamma ~w:t.Pins.scratch_w ~u:t.Pins.scratch_u ~v:t.Pins.scratch_v ~want_grad:true in
       for i = 0 to k - 1 do
-        let c = I32.uget t.Pins.pin_cell (I32.uget s.Soa.net_pin (lo + i)) in
+        let c = uget t.Pins.pin_cell (uget s.Soa.net_pin (lo + i)) in
         gx.(c) <- gx.(c) +. (wn *. t.Pins.scratch_w.(i))
       done;
       let vy = axis_value_grad t.Pins.scratch_y k ~gamma ~w:t.Pins.scratch_w ~u:t.Pins.scratch_u ~v:t.Pins.scratch_v ~want_grad:true in
       for i = 0 to k - 1 do
-        let c = I32.uget t.Pins.pin_cell (I32.uget s.Soa.net_pin (lo + i)) in
+        let c = uget t.Pins.pin_cell (uget s.Soa.net_pin (lo + i)) in
         gy.(c) <- gy.(c) +. (wn *. t.Pins.scratch_w.(i))
       done;
       acc := !acc +. (wn *. (vx +. vy))
     end
   done;
   !acc
+
+(* One net of {!Par_grad}'s fan-out: [value_grad]'s per-net arithmetic,
+   stored into the net's value slot and its pins' gradient slots rather
+   than accumulated, so the worker partition cannot change any float. *)
+let net_into t ~gamma ~cx ~cy ~want_grad ~net_val ~pin_gx ~pin_gy n =
+  let s = t.Pins.soa in
+  let lo = uget s.Soa.net_pin_off n in
+  let k = Pins.load_net t ~cx ~cy n in
+  if k >= 2 then begin
+    let wn = s.Soa.net_weight.(n) in
+    let vx = axis_value_grad t.Pins.scratch_x k ~gamma ~w:t.Pins.scratch_w ~u:t.Pins.scratch_u ~v:t.Pins.scratch_v ~want_grad in
+    if want_grad then
+      for i = 0 to k - 1 do
+        pin_gx.(uget s.Soa.net_pin (lo + i)) <- wn *. t.Pins.scratch_w.(i)
+      done;
+    let vy = axis_value_grad t.Pins.scratch_y k ~gamma ~w:t.Pins.scratch_w ~u:t.Pins.scratch_u ~v:t.Pins.scratch_v ~want_grad in
+    if want_grad then
+      for i = 0 to k - 1 do
+        pin_gy.(uget s.Soa.net_pin (lo + i)) <- wn *. t.Pins.scratch_w.(i)
+      done;
+    net_val.(n) <- wn *. (vx +. vy)
+  end
+  else net_val.(n) <- 0.0
 
 let error_bound ~gamma = 4.0 *. gamma

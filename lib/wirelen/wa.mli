@@ -35,5 +35,18 @@ val axis_value_grad :
   want_grad:bool ->
   float
 (** Same contract as {!Lse.axis_value_grad}: the per-net, per-axis kernel,
-    exposed so {!Par_grad} and the batched gradient oracle reuse the exact
-    serial arithmetic. *)
+    exposed so the batched gradient oracle reuses the exact serial
+    arithmetic. *)
+
+val net_into :
+  Pins.t ->
+  gamma:float ->
+  cx:float array ->
+  cy:float array ->
+  want_grad:bool ->
+  net_val:float array ->
+  pin_gx:float array ->
+  pin_gy:float array ->
+  int ->
+  unit
+(** Same contract as {!Lse.net_into}. *)

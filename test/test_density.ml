@@ -172,6 +172,84 @@ let test_overflow_frozen () =
   Alcotest.(check bool) "all frozen means empty" true (Array.for_all (fun v -> v = 0.0) fr);
   Alcotest.(check bool) "some usage otherwise" true (Array.exists (fun v -> v > 0.0) all)
 
+(* [Overflow]'s scalar overlap arithmetic against its definition: each
+   movable, unfrozen cell's [Rect.t] overlapped with every [Grid.bin_rect]
+   of its [Grid.range_of_interval] window, cells ascending.  Usage, the
+   overflow and its [Design.movable_area] normaliser must agree to the
+   bit, on xl10k with cells jittered over the die edge and every third
+   one frozen. *)
+let test_overflow_matches_rect_reference () =
+  let d = Lazy.force Tutil.xl10k in
+  let nx, ny = Grid.default_dims d in
+  let g = Grid.build d ~nx ~ny in
+  let cx, cy = Pins.centers_of_design d in
+  let rng = Dpp_util.Rng.create 5 in
+  let jitter = 0.05 *. Rect.width d.Design.die in
+  let cx = Array.map (fun x -> x +. Dpp_util.Rng.float rng (2.0 *. jitter) -. jitter) cx in
+  let cy = Array.map (fun y -> y +. Dpp_util.Rng.float rng (2.0 *. jitter) -. jitter) cy in
+  let frozen i = i mod 3 = 0 in
+  let usage = Array.make (nx * ny) 0.0 in
+  Array.iter
+    (fun i ->
+      if not (frozen i) then begin
+        let c = Design.cell d i in
+        let w = c.Types.c_width and h = c.Types.c_height in
+        let xl = cx.(i) -. (w /. 2.0) and yl = cy.(i) -. (h /. 2.0) in
+        let r = Rect.make ~xl ~yl ~xh:(xl +. w) ~yh:(yl +. h) in
+        let die = g.Grid.die in
+        let ix0, ix1 =
+          Grid.range_of_interval ~lo:r.Rect.xl ~hi:r.Rect.xh ~origin:die.Rect.xl
+            ~step:g.Grid.bin_w ~n:nx
+        in
+        let iy0, iy1 =
+          Grid.range_of_interval ~lo:r.Rect.yl ~hi:r.Rect.yh ~origin:die.Rect.yl
+            ~step:g.Grid.bin_h ~n:ny
+        in
+        for iy = iy0 to iy1 do
+          for ix = ix0 to ix1 do
+            let ov = Rect.overlap_area r (Grid.bin_rect g ~ix ~iy) in
+            if ov > 0.0 then begin
+              let b = Grid.index g ix iy in
+              usage.(b) <- usage.(b) +. ov
+            end
+          done
+        done
+      end)
+    (Design.movable_ids d);
+  let got = Overflow.bin_usage ~frozen d g ~cx ~cy in
+  let bits = Array.map Int64.bits_of_float in
+  Alcotest.(check (array int64)) "usage bits" (bits usage) (bits got);
+  let target_density = 0.9 in
+  let over = ref 0.0 in
+  Array.iteri
+    (fun b u ->
+      let cap = target_density *. g.Grid.capacity.(b) in
+      if u > cap then over := !over +. (u -. cap))
+    usage;
+  let want = !over /. Design.movable_area d in
+  Alcotest.(check int64) "overflow bits" (Int64.bits_of_float want)
+    (Int64.bits_of_float (Overflow.total_overflow ~frozen d g ~target_density ~cx ~cy))
+
+(* Allocation gate, run under the default (dev, [-opaque]) build: the
+   density kernels must not box a float or build a tuple per cell or bin.
+   Counts are the calling domain's ([Gc.minor_words] is per domain in
+   OCaml 5), so the pooled kernel is gated on its caller's share. *)
+let test_kernels_allocation_free () =
+  let d = Lazy.force Tutil.xl10k in
+  let cx, cy = Pins.centers_of_design d in
+  let n = Design.num_cells d in
+  let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+  let nx, ny = Grid.default_dims d in
+  let grid = Grid.build d ~nx ~ny in
+  let bell = Bell.create d ~grid ~target_density:0.9 in
+  let gate name f = Tutil.check_kernel_alloc name (fun () -> ignore (f ())) in
+  gate "Bell.value_grad" (fun () -> Bell.value_grad bell ~cx ~cy ~gx ~gy);
+  gate "Overflow.total_overflow" (fun () ->
+      Overflow.total_overflow d grid ~target_density:0.9 ~cx ~cy);
+  Dpp_par.Pool.with_pool ~nworkers:2 (fun pool ->
+      let p = Bell.par_create bell in
+      gate "Bell.par_value_grad" (fun () -> Bell.par_value_grad p pool ~cx ~cy ~gx ~gy))
+
 let suite =
   [
     Alcotest.test_case "theta shape" `Quick test_theta_shape;
@@ -189,4 +267,6 @@ let suite =
     Alcotest.test_case "overflow exact" `Quick test_overflow_exact;
     Alcotest.test_case "overflow spread" `Quick test_overflow_zero_when_spread;
     Alcotest.test_case "overflow frozen" `Quick test_overflow_frozen;
+      Alcotest.test_case "overflow matches rect reference" `Quick test_overflow_matches_rect_reference;
+    Alcotest.test_case "kernels allocation-free at xl10k" `Quick test_kernels_allocation_free;
   ]

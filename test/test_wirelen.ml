@@ -188,6 +188,34 @@ let test_numerical_stability_large_coords () =
   Alcotest.(check bool) "lse finite" true (Float.is_finite lse);
   Alcotest.(check bool) "wa finite" true (Float.is_finite wa)
 
+(* Allocation gate, run under the default (dev, [-opaque]) build: the
+   smooth-wirelength and HPWL kernels must not box a float per net or pin.
+   Counts are the calling domain's ([Gc.minor_words] is per domain in
+   OCaml 5); the 2-worker [Par_grad] runs half its nets on the helper
+   domain, and the calling domain's half is what is gated (on a one-core
+   host the pool runs serially and the whole kernel is gated). *)
+let test_kernels_allocation_free () =
+  let d = Lazy.force Tutil.xl10k in
+  let pins = Pins.build d in
+  let cx, cy = Pins.centers_of_design d in
+  let n = Design.num_cells d in
+  let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
+  let gamma = 5.0 in
+  let gate name f = Tutil.check_kernel_alloc name (fun () -> ignore (f ())) in
+  gate "Lse.value" (fun () -> Lse.value pins ~gamma ~cx ~cy);
+  gate "Lse.value_grad" (fun () -> Lse.value_grad pins ~gamma ~cx ~cy ~gx ~gy);
+  gate "Wa.value" (fun () -> Wa.value pins ~gamma ~cx ~cy);
+  gate "Wa.value_grad" (fun () -> Wa.value_grad pins ~gamma ~cx ~cy ~gx ~gy);
+  gate "Hpwl.total" (fun () -> Hpwl.total pins ~cx ~cy);
+  Dpp_par.Pool.with_pool ~nworkers:2 (fun pool ->
+      let pg = Dpp_wirelen.Par_grad.create pool pins in
+      List.iter
+        (fun kind ->
+          gate
+            ("Par_grad.value_grad " ^ Model.kind_to_string kind)
+            (fun () -> Dpp_wirelen.Par_grad.value_grad pg pool kind ~gamma ~cx ~cy ~gx ~gy))
+        [ Model.Lse; Model.Wa ])
+
 let suite =
   [
     Alcotest.test_case "hpwl two points" `Quick test_hpwl_two_points;
@@ -203,4 +231,5 @@ let suite =
     Alcotest.test_case "translation invariance" `Quick test_gradient_translation_invariance;
     Alcotest.test_case "model dispatch" `Quick test_model_dispatch;
     Alcotest.test_case "stability at large coords" `Quick test_numerical_stability_large_coords;
+    Alcotest.test_case "kernels allocation-free at xl10k" `Quick test_kernels_allocation_free;
   ]

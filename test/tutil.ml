@@ -78,3 +78,36 @@ let gradient_error d ~value_grad =
       check cy gy i)
     (Design.movable_ids d);
   !max_err
+
+(* The xl10k preset at its generated placement: the GP kernels' size
+   class, for the allocation gates. *)
+let xl10k =
+  lazy
+    (match Dpp_gen.Xl.by_name "xl10k" with
+    | Some d -> d
+    | None -> failwith "xl10k preset missing")
+
+(* Minor-heap words one call of [f] allocates, averaged over [calls] calls
+   after a warm-up call (lazy buffers, helper-domain spawn).  OCaml 5's
+   [Gc.minor_words] counts the {e calling domain} only: work a pool runs
+   on its helper domains is not included, so a pooled kernel is measured
+   on the share its caller executes. *)
+let minor_words_per_call ?(calls = 4) f =
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* The allocation gate of the GP hot kernels: at most this many minor
+   words per call.  A kernel that boxes one float per net, pin or bin
+   allocates tens of thousands of words per call at xl10k, so one
+   re-boxed accessor or helper trips it. *)
+let kernel_word_budget = 256.0
+
+let check_kernel_alloc name f =
+  let w = minor_words_per_call f in
+  if w > kernel_word_budget then
+    Alcotest.failf "%s allocates %.0f minor words per call (budget %.0f)" name w
+      kernel_word_budget
