@@ -64,7 +64,7 @@ let micro_tests () =
   in
   let qp =
     Test.make ~name:"quadratic-init" (Staged.stage (fun () ->
-        ignore (Dpp_place.Qp.run ~seed:1 ~soa:pins.Dpp_wirelen.Pins.soa d)))
+        ignore (Dpp_place.Qp.run ~seed:1 pins.Dpp_wirelen.Pins.soa)))
   in
   [ lse; wa; hpwl; density; extract; qp ]
 
@@ -108,7 +108,7 @@ let run_detail_bench () =
   let d = Lazy.force micro_design in
   let pins = Pins.build d in
   let cx, cy = Pins.centers_of_design d in
-  let legal = Dpp_place.Legal.run d ~cx ~cy () in
+  let legal = Dpp_place.Legal.run pins.Pins.soa ~cx ~cy () in
   let lcx = legal.Dpp_place.Legal.cx and lcy = legal.Dpp_place.Legal.cy in
   let movable = Design.movable_ids d in
   let nm = Array.length movable in
@@ -343,12 +343,12 @@ let run_legal_bench () =
   let backend jobs =
     let d = build () in
     let cx, cy = Pins.centers_of_design d in
-    Pool.with_pool ~nworkers:jobs @@ fun pool ->
-    let legal = Legal.run d ~pool ~cx ~cy () in
     let pins = Pins.build d in
+    Pool.with_pool ~nworkers:jobs @@ fun pool ->
+    let legal = Legal.run pins.Pins.soa ~pool ~cx ~cy () in
     let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-    ignore (Dpp_place.Detail.run d ~pool ~soa:pins.Pins.soa ~netbox:nb ~legal ());
-    ignore (Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Legal.cx ~cy:legal.Legal.cy ());
+    ignore (Dpp_place.Detail.run ~pool ~netbox:nb ~legal ());
+    ignore (Dpp_place.Flip.run ~pool ~netbox:nb ());
     legal.Legal.assignment, legal.Legal.cx, legal.Legal.cy, Array.copy d.Design.orient
   in
   let a1, x1, y1, o1 = backend 1 in
@@ -369,8 +369,9 @@ let run_legal_bench () =
   say "LG: Legal+Detail+Flip bit-identical at 1/2/4/8 worker domains";
   (* --- occupancy: sorted index vs the old per-row list walk --- *)
   let d = build () in
+  let soa = Dpp_netlist.Soa.of_design d in
   let cx, cy = Pins.centers_of_design d in
-  let legal = Legal.run d ~cx ~cy () in
+  let legal = Legal.run soa ~cx ~cy () in
   let lcx = legal.Legal.cx in
   let die = d.Design.die in
   let nrows = d.Design.num_rows in
@@ -421,14 +422,14 @@ let run_legal_bench () =
     !best
   in
   let fresh_rows () =
-    let occ = Occ.build d ~cx:lcx ~cy:legal.Legal.cy in
+    let occ = Occ.build soa ~cx:lcx ~cy:legal.Legal.cy in
     Array.init nrows (Occ.row_entries occ)
   in
   let clamp_row r = max 0 (min (nrows - 1) r) in
   (* correctness first: both backends must price every op identically *)
   begin
     let rows = fresh_rows () in
-    let occ = Occ.build d ~cx:lcx ~cy:legal.Legal.cy in
+    let occ = Occ.build soa ~cx:lcx ~cy:legal.Legal.cy in
     let cur_row = Array.copy legal.Legal.assignment in
     Array.iteri
       (fun q (i, tx, dr, accept) ->
@@ -484,7 +485,7 @@ let run_legal_bench () =
     float_of_int n_ops /. (Unix.gettimeofday () -. t0)
   in
   let time_occ () =
-    let occ = Occ.build d ~cx:lcx ~cy:legal.Legal.cy in
+    let occ = Occ.build soa ~cx:lcx ~cy:legal.Legal.cy in
     let cur_row = Array.copy legal.Legal.assignment in
     let acc = ref 0.0 in
     let t0 = Unix.gettimeofday () in
@@ -531,13 +532,13 @@ let run_legal_bench () =
       (fun jobs ->
         let d = build () in
         let cx, cy = Pins.centers_of_design d in
-        Pool.with_pool ~nworkers:jobs @@ fun pool ->
-        let legal_rate = rate (fun () -> ignore (Legal.run d ~pool ~cx ~cy ())) in
-        let legal = Legal.run d ~pool ~cx ~cy () in
         let pins = Pins.build d in
+        Pool.with_pool ~nworkers:jobs @@ fun pool ->
+        let legal_rate = rate (fun () -> ignore (Legal.run pins.Pins.soa ~pool ~cx ~cy ())) in
+        let legal = Legal.run pins.Pins.soa ~pool ~cx ~cy () in
         let nb = Netbox.build pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
         let t0 = Unix.gettimeofday () in
-        ignore (Dpp_place.Detail.run d ~pool ~soa:pins.Pins.soa ~netbox:nb ~legal ());
+        ignore (Dpp_place.Detail.run ~pool ~netbox:nb ~legal ());
         let detail_s = Unix.gettimeofday () -. t0 in
         say "  jobs %d: legal %8.2f runs/s  detail %6.3f s" jobs legal_rate detail_s;
         jobs, legal_rate, detail_s)
@@ -750,24 +751,6 @@ let run_xl_bench () =
      unaffected where it matters — every timed kernel runs after its
      own full-major settle in [best]. *)
   Gc.set { (Gc.get ()) with Gc.space_overhead = 80 };
-  let vm_hwm_kb () =
-    (* peak resident set so far, from the kernel's own accounting *)
-    let ic = open_in "/proc/self/status" in
-    let rec loop acc =
-      match input_line ic with
-      | line ->
-        let acc =
-          if String.length line > 6 && String.sub line 0 6 = "VmHWM:" then
-            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" Fun.id
-          else acc
-        in
-        loop acc
-      | exception End_of_file ->
-        close_in ic;
-        acc
-    in
-    loop 0
-  in
   let sec f =
     let t0 = Unix.gettimeofday () in
     f ();
@@ -936,7 +919,7 @@ let run_xl_bench () =
             kernels
         in
         let heap = (Gc.stat ()).Gc.top_heap_words * (Sys.word_size / 8) / 1024 in
-        let hwm = vm_hwm_kb () in
+        let hwm = Dpp_util.Meminfo.vm_hwm_kb () in
         say "  %-7s %7d cells %7d nets: soa derive %6.3f s, peak rss %d MB" name
           (Design.num_cells d) (Design.num_nets d) derive_s (hwm / 1024);
         List.iter

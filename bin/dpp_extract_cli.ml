@@ -48,7 +48,7 @@ let run preset bookshelf min_slices max_degree verbose =
           (Dpp_netlist.Groups.cell_count g)
           reg.coupling reg.slice_span)
       r.Dpp_extract.Slicer.groups
-      (Dpp_structure.Dgroup.regularity d r.Dpp_extract.Slicer.groups);
+      (Dpp_structure.Dgroup.regularity (Dpp_netlist.Soa.of_design d) r.Dpp_extract.Slicer.groups);
     if d.Dpp_netlist.Design.groups <> [] then begin
       let m =
         Dpp_extract.Exmetrics.compare_to_truth ~truth:d.Dpp_netlist.Design.groups

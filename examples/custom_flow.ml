@@ -34,13 +34,13 @@ let () =
   in
   Format.printf "extracted %d groups@." (List.length groups);
   (* 2. initial placement *)
-  let qp = Dpp_place.Qp.run ~seed:3 ~soa:pins.Pins.soa d in
+  let qp = Dpp_place.Qp.run ~seed:3 pins.Pins.soa in
   Format.printf "quadratic init: HPWL %.0f (PCG %d+%d iters)@."
     (Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy)
     qp.Dpp_place.Qp.iterations_x qp.Dpp_place.Qp.iterations_y;
   (* 3. global placement: WA model + soft alignment, tight spread *)
   let dgroups =
-    Dpp_structure.Dgroup.build_all_ordered d groups ~cx:qp.Dpp_place.Qp.cx
+    Dpp_structure.Dgroup.build_all_ordered pins.Pins.soa groups ~cx:qp.Dpp_place.Qp.cx
       ~cy:qp.Dpp_place.Qp.cy
   in
   let gp_cfg =
@@ -53,15 +53,20 @@ let () =
     }
   in
   let gp =
-    Dpp_place.Gp.run d gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy
+    Dpp_place.Gp.run ~pins d gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy
       ~on_round:(fun ri ->
         Format.printf "  round %2d: hpwl %.0f overflow %.3f align %.2f@." ri.Dpp_place.Gp.round
           ri.Dpp_place.Gp.hpwl ri.Dpp_place.Gp.overflow ri.Dpp_place.Gp.align_error)
   in
   (* 4. legalize + refine *)
-  let legal = Dpp_place.Legal.run d ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy () in
-  Dpp_place.Abacus.run d ~target_cx:gp.Dpp_place.Gp.cx ~legal ();
-  let stats = Dpp_place.Detail.run d ~max_passes:4 ~legal () in
+  let legal =
+    Dpp_place.Legal.run pins.Pins.soa ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy ()
+  in
+  Dpp_place.Abacus.run pins.Pins.soa ~target_cx:gp.Dpp_place.Gp.cx ~legal ();
+  let netbox =
+    Dpp_wirelen.Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy
+  in
+  let stats = Dpp_place.Detail.run ~max_passes:4 ~netbox ~legal () in
   let final = Hpwl.total pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
   Format.printf "legal+detail: HPWL %.0f (detail recovered %.0f in %d moves)@." final
     (stats.Dpp_place.Detail.reorder_gain +. stats.Dpp_place.Detail.swap_gain)

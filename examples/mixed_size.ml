@@ -30,7 +30,7 @@ let () =
     }
   in
   let design = Dpp_gen.Compose.build spec in
-  let macros = Dpp_structure.Dgroup.movable_macros design in
+  let macros = Dpp_structure.Dgroup.movable_macros (Dpp_netlist.Soa.of_design design) in
   Format.printf "design has %d movable macros and %d labelled datapath groups@."
     (List.length macros)
     (List.length design.Dpp_netlist.Design.groups);

@@ -95,8 +95,23 @@ module Snapshot = struct
   let restore (s : t) (ctx : Ctx.t) =
     let d = ctx.Ctx.design in
     let n = Array.length d.Design.orient in
-    if Array.length s.orient <> n || Array.length s.cx <> n then
-      invalid_arg "Snapshot.restore: cell count mismatch";
+    (* a spool file comes from outside the program: check every field
+       before installing any of it *)
+    let reject field =
+      Printf.ksprintf (fun why -> invalid_arg ("Snapshot.restore: " ^ field ^ " " ^ why))
+    in
+    if s.design <> d.Design.name then reject "design" "is %S, not %S" s.design d.Design.name;
+    let length field len = if len <> n then reject field "has length %d, not %d" len n in
+    let ids field =
+      Array.iter (fun i -> if i < 0 || i >= n then reject field "id %d outside [0, %d)" i n)
+    in
+    length "orient" (Array.length s.orient);
+    length "cx" (Array.length s.cx);
+    length "cy" (Array.length s.cy);
+    if s.assignment <> [||] then length "assignment" (Array.length s.assignment);
+    ids "skip_ids" s.skip_ids;
+    ids "flip_skip_ids" s.flip_skip_ids;
+    ids "failed" (Array.of_list s.failed);
     (* orientations first: accepted flips must be visible through the
        soa/pin views (they alias [d.orient]) before coordinates adopt the
        snapshot placement *)

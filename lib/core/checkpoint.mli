@@ -46,7 +46,10 @@ module Snapshot : sig
   (** Install the snapshot into a context freshly created over the same
       design (a {!Flow.run_stages} [prepare] hook).  Orientation diffs are
       applied to both the design and the shared pin view, so no rebuild is
-      needed.  @raise Invalid_argument on a cell-count mismatch. *)
+      needed.  @raise Invalid_argument, naming the field, before
+      installing anything when [design] is not the context's design, an
+      [orient]/[cx]/[cy]/non-empty [assignment] length is not the cell
+      count, or a [skip_ids]/[flip_skip_ids]/[failed] id is out of range. *)
 
   val of_json : Dpp_report.Json.t -> t
   (** The spool object; the serve layer embeds it next to the job spec. *)

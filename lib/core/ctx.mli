@@ -20,7 +20,10 @@ type metrics = {
 (** The metrics stage's product. *)
 
 type t = {
-  design : Dpp_netlist.Design.t;  (** the placed copy being optimized *)
+  design : Dpp_netlist.Design.t;
+      (** the placed copy being optimized; read only by extract, gp,
+          metrics, the oracles and result assembly — the other stages
+          take [soa]/[pins] *)
   config : Config.t;
   pool : Dpp_par.Pool.t;
       (** worker pool sized from [config.jobs], shared by every stage's

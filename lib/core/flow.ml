@@ -1,4 +1,5 @@
 module Design = Dpp_netlist.Design
+module Soa = Dpp_netlist.Soa
 module Validate = Dpp_netlist.Validate
 module Groups = Dpp_netlist.Groups
 module Pins = Dpp_wirelen.Pins
@@ -86,8 +87,8 @@ let init_stage =
     name = "init";
     run =
       (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        let qp = Qp.run ~seed:cfg.Config.seed ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa d in
+        let s = ctx.Ctx.soa and cfg = ctx.Ctx.config in
+        let qp = Qp.run ~seed:cfg.Config.seed ~pool:ctx.Ctx.pool s in
         let unconverged axis ok iters res =
           if not ok then
             Log.warn (fun m ->
@@ -104,7 +105,7 @@ let init_stage =
            lose wirelength when constrained, so they are dropped here *)
         let groups = ctx.Ctx.groups_used in
         let groups_kept =
-          List.combine groups (Dgroup.regularity d groups)
+          List.combine groups (Dgroup.regularity s groups)
           |> List.filter_map (fun (g, r) ->
                  if
                    r.Dgroup.coupling >= cfg.Config.min_coupling
@@ -114,9 +115,9 @@ let init_stage =
         in
         ctx.Ctx.dgroups <-
           (if groups_kept = [] then []
-           else Dgroup.build_all_ordered d groups_kept ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy);
+           else Dgroup.build_all_ordered s groups_kept ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy);
         (* movable multi-row macros ride the rigid machinery in both modes *)
-        ctx.Ctx.macro_dgs <- List.map (Dgroup.of_movable_macro d) (Dgroup.movable_macros d);
+        ctx.Ctx.macro_dgs <- List.map (Dgroup.of_movable_macro s) (Dgroup.movable_macros s);
         ctx);
   }
 
@@ -126,7 +127,7 @@ let gp_stage =
     run =
       (fun (ctx : Ctx.t) ->
         let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
-        let die_area = Dpp_geom.Rect.area d.Design.die in
+        let die_area = Dpp_geom.Rect.area ctx.Ctx.soa.Soa.die in
         let rigid, soft =
           match cfg.Config.mode, cfg.Config.structure with
           | Config.Baseline, _ -> [], []
@@ -151,14 +152,14 @@ let gp_stage =
               | Config.Structure_aware -> cfg.Config.beta);
             groups = soft;
             rigid_groups = rigid @ ctx.Ctx.macro_dgs;
-            pool = Some ctx.Ctx.pool;
+            pool = ctx.Ctx.pool;
             routability = cfg.Config.routability;
             rt_interval = cfg.Config.rt_interval;
             rt_overflow = cfg.Config.rt_overflow;
             rt_max_inflate = cfg.Config.rt_max_inflate;
           }
         in
-        let movables = Array.length (Design.movable_ids d) in
+        let movables = Array.length (Soa.movable_ids ctx.Ctx.soa) in
         let levels =
           if Config.multilevel_enabled cfg ~movables then
             (* bit-slices and movable macros seed the first-level
@@ -171,8 +172,8 @@ let gp_stage =
         in
         ctx.Ctx.ml_levels <- levels;
         let mlr =
-          Gp.run_multilevel ~arena:ctx.Ctx.arena ~soa:ctx.Ctx.soa ~pins:ctx.Ctx.pins d
-            gp_cfg ~levels ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
+          Gp.run_multilevel ~arena:ctx.Ctx.arena ~pins:ctx.Ctx.pins d gp_cfg ~levels
+            ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
         in
         ctx.Ctx.gp <- Some mlr.Gp.result;
         ctx.Ctx.gp_levels <- mlr.Gp.level_trace;
@@ -185,14 +186,12 @@ let snap_stage =
     name = "snap";
     run =
       (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
+        let cfg = ctx.Ctx.config in
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
         (* movable multi-row macros must become row-aligned obstacles in
            every mode: the row legalizer cannot handle them *)
         let pins = ctx.Ctx.pins in
-        let placed_macros =
-          Shaping.snap ~max_die_fraction:1.0 ~pins d ctx.Ctx.macro_dgs ~cx ~cy
-        in
+        let placed_macros = Shaping.snap ~max_die_fraction:1.0 ~pins ctx.Ctx.macro_dgs ~cx ~cy in
         let placed_groups =
           match cfg.Config.mode with
           | Config.Baseline -> []
@@ -200,8 +199,7 @@ let snap_stage =
             (* soft groups that fit also snap (they were pulled toward
                arrays by the penalty); Shaping drops oversized ones *)
             Shaping.snap ~max_die_fraction:snap_fraction
-              ~extra_obstacles:(Shaping.obstacles placed_macros) ~pins d ctx.Ctx.dgroups ~cx
-              ~cy
+              ~extra_obstacles:(Shaping.obstacles placed_macros) ~pins ctx.Ctx.dgroups ~cx ~cy
         in
         let placed = placed_macros @ placed_groups in
         List.iter (fun p -> Shaping.apply p ~cx ~cy) placed;
@@ -221,13 +219,12 @@ let legal_stage =
     name = "legal";
     run =
       (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design and skip = Ctx.member ctx.Ctx.skip in
+        let s = ctx.Ctx.soa and skip = Ctx.member ctx.Ctx.skip in
         let l =
-          Legal.run d ~pool:ctx.Ctx.pool ~arena:ctx.Ctx.arena ~soa:ctx.Ctx.soa
-            ~extra_obstacles:ctx.Ctx.obstacles ~skip ?bound:ctx.Ctx.bound ~cx:ctx.Ctx.cx
-            ~cy:ctx.Ctx.cy ()
+          Legal.run s ~pool:ctx.Ctx.pool ~arena:ctx.Ctx.arena ~extra_obstacles:ctx.Ctx.obstacles
+            ~skip ?bound:ctx.Ctx.bound ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy ()
         in
-        Abacus.run d ~extra_obstacles:ctx.Ctx.obstacles ~skip ~target_cx:ctx.Ctx.cx ~legal:l ();
+        Abacus.run s ~extra_obstacles:ctx.Ctx.obstacles ~skip ~target_cx:ctx.Ctx.cx ~legal:l ();
         if l.Legal.failed <> [] then
           Log.err (fun m -> m "%d cells could not be legalized" (List.length l.Legal.failed));
         ctx.Ctx.legal <- Some l;
@@ -242,8 +239,7 @@ let detail_stage =
       (fun (ctx : Ctx.t) ->
         let legal = Option.get ctx.Ctx.legal in
         ignore
-          (Detail.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
-             ~max_passes:ctx.Ctx.config.Config.detail_passes
+          (Detail.run ~pool:ctx.Ctx.pool ~max_passes:ctx.Ctx.config.Config.detail_passes
              ~skip:(Ctx.member ctx.Ctx.skip) ?bound:ctx.Ctx.bound ~netbox:(Ctx.netbox ctx)
              ~legal ());
         ctx);
@@ -259,9 +255,8 @@ let flip_stage =
            through the netbox, so the pin view built at context creation
            stays valid — no rebuild. *)
         ignore
-          (Dpp_place.Flip.run ctx.Ctx.design ~pool:ctx.Ctx.pool ~soa:ctx.Ctx.soa
-             ~skip:(Ctx.member ctx.Ctx.flip_skip) ~netbox:(Ctx.netbox ctx) ~cx:ctx.Ctx.cx
-             ~cy:ctx.Ctx.cy ());
+          (Dpp_place.Flip.run ~pool:ctx.Ctx.pool ~skip:(Ctx.member ctx.Ctx.flip_skip)
+             ~netbox:(Ctx.netbox ctx) ());
         ctx);
   }
 

@@ -13,7 +13,8 @@
     context derives the netlist views once ({!Dpp_netlist.Soa} with its
     deduplicated adjacency, and the pin view); each stage reads them and
     mutates the context's shared state (live coordinates, incremental
-    {!Dpp_wirelen.Netbox} cost cache, frozen sets, stage products).  The
+    {!Dpp_wirelen.Netbox} cost cache, frozen sets, stage products); init,
+    snap, legal, detail and flip never read the design records.  The
     driver wraps every stage with timing and HPWL bookkeeping, reported
     through the [observer] hook and the result's [stage_trace]; the
     result's [hpwl_init]/[hpwl_legal] are read back from that trace. *)

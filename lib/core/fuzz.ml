@@ -363,16 +363,14 @@ let backend_checks (c : case) =
     let run_backend jobs =
       let d = random_design ~seed:c.seed ~cells:(c.cells / 4) ~nets:c.nets in
       let cx, cy = Pins.centers_of_design d in
+      let pins = Pins.build d in
       Pool.with_pool ~nworkers:jobs @@ fun pool ->
-      let legal = Dpp_place.Legal.run d ~pool ~cx ~cy () in
+      let legal = Dpp_place.Legal.run pins.Pins.soa ~pool ~cx ~cy () in
       let nb =
-        Netbox.build (Pins.build d) ~cx:legal.Dpp_place.Legal.cx
-          ~cy:legal.Dpp_place.Legal.cy
+        Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy
       in
-      ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~legal ());
-      ignore
-        (Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Dpp_place.Legal.cx
-           ~cy:legal.Dpp_place.Legal.cy ());
+      ignore (Dpp_place.Detail.run ~pool ~max_passes:2 ~netbox:nb ~legal ());
+      ignore (Dpp_place.Flip.run ~pool ~netbox:nb ());
       ( legal.Dpp_place.Legal.assignment,
         legal.Dpp_place.Legal.cx,
         legal.Dpp_place.Legal.cy,

@@ -55,11 +55,14 @@ let pin_position t i =
   in
   t.x.(ci) +. dx, t.y.(ci) +. dy
 
-let row_y t r = t.die.Rect.yl +. (float_of_int r *. t.row_height)
+let row_y_at ~(die : Rect.t) ~row_height r = die.Rect.yl +. (float_of_int r *. row_height)
 
-let row_of_y t y =
-  let r = int_of_float (floor ((y -. t.die.Rect.yl) /. t.row_height)) in
-  max 0 (min (t.num_rows - 1) r)
+let row_at ~(die : Rect.t) ~row_height ~num_rows y =
+  let r = int_of_float (floor ((y -. die.Rect.yl) /. row_height)) in
+  max 0 (min (num_rows - 1) r)
+
+let row_y t r = row_y_at ~die:t.die ~row_height:t.row_height r
+let row_of_y t y = row_at ~die:t.die ~row_height:t.row_height ~num_rows:t.num_rows y
 
 let ids_with_pred t pred =
   let acc = ref [] in
@@ -99,8 +102,6 @@ let restore_positions t x y =
   Array.blit y 0 t.y 0 (Array.length y)
 
 let with_groups t groups = { t with groups }
-
-let total_pin_count t = Array.length t.pins
 
 let average_net_degree t =
   if num_nets t = 0 then 0.0

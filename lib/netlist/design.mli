@@ -38,6 +38,10 @@ val set_center : t -> int -> float -> float -> unit
 val pin_position : t -> int -> float * float
 (** Absolute position of pin [i] given its cell's placement. *)
 
+val row_y_at : die:Dpp_geom.Rect.t -> row_height:float -> int -> float
+val row_at : die:Dpp_geom.Rect.t -> row_height:float -> num_rows:int -> float -> int
+(** The row arithmetic behind {!row_y}/{!row_of_y} and their {!Soa} twins. *)
+
 val row_y : t -> int -> float
 (** Lower edge of row [r]. *)
 
@@ -62,5 +66,4 @@ val restore_positions : t -> float array -> float array -> unit
 val with_groups : t -> Groups.t list -> t
 (** Functional update of the group annotation list. *)
 
-val total_pin_count : t -> int
 val average_net_degree : t -> float

@@ -315,6 +315,31 @@ let cell_rect t i =
   let w, h = oriented_dims t i in
   Rect.make ~xl:t.x.(i) ~yl:t.y.(i) ~xh:(t.x.(i) +. w) ~yh:(t.y.(i) +. h)
 
+let cell_center_x t i = t.x.(i) +. (fst (oriented_dims t i) /. 2.0)
+let cell_center_y t i = t.y.(i) +. (snd (oriented_dims t i) /. 2.0)
+let row_y t r = Design.row_y_at ~die:t.die ~row_height:t.row_height r
+let row_of_y t y = Design.row_at ~die:t.die ~row_height:t.row_height ~num_rows:t.num_rows y
+
+let ids_where t keep =
+  let acc = ref [] in
+  for i = t.num_cells - 1 downto 0 do
+    if keep i then acc := i :: !acc
+  done;
+  Array.of_list !acc
+
+let movable_ids t = ids_where t (fun i -> not (is_fixed t i))
+let fixed_ids t = ids_where t (is_fixed t)
+
+let fixed_obstacles t =
+  let acc = ref [] in
+  for i = t.num_cells - 1 downto 0 do
+    if I8.get t.kind i = kind_fixed then
+      match Rect.intersection (cell_rect t i) t.die with
+      | Some r -> acc := r :: !acc
+      | None -> ()
+  done;
+  !acc
+
 (* resident bytes of the compact (non-aliased) payloads, for the memory
    ledger and the bytes-per-cell accounting in DESIGN.md *)
 let compact_bytes t =

@@ -10,6 +10,16 @@
     {!Bookshelf}, {!Validate}, the oracles); a [Soa.t] is derived from a
     {!Design.t} once per flow and kept authoritative from then on.
 
+    {2 Who takes a [Soa.t]}
+
+    The place and structure layers (QP, legalization, detail, flip, the
+    group builders, snapping) take this view, or the pin view / netbox
+    over it, as their only netlist.  Extraction, coarsening, the density
+    grid, RUDY and STA still take a {!Design.t} (the repository benchmark
+    calls them), and GP keeps one only to feed them; the legality and
+    checkpoint oracles read the records on purpose, independently of the
+    view they audit.
+
     {2 Compact backing}
 
     CSR connectivity and per-pin metadata are stored in
@@ -170,6 +180,21 @@ val oriented_dims : t -> int -> float * float
 val cell_rect : t -> int -> Dpp_geom.Rect.t
 (** Bounding box of cell [i] at its current position and orientation —
     same values as {!Design.cell_rect}. *)
+
+(** The geometry of {!Design}'s namesakes, bit for bit: centers at the
+    current orientation, the shared row arithmetic, ascending id lists
+    (fixed cells and pads count as fixed). *)
+
+val cell_center_x : t -> int -> float
+val cell_center_y : t -> int -> float
+val row_y : t -> int -> float
+val row_of_y : t -> float -> int
+val movable_ids : t -> int array
+val fixed_ids : t -> int array
+
+val fixed_obstacles : t -> Dpp_geom.Rect.t list
+(** Fixed-cell footprints (pads excluded) clipped to the die, ascending
+    id; the one obstacle list legalization, Abacus and snapping use. *)
 
 val compact_bytes : t -> int
 (** Total bytes of the off-heap compact payloads (CSR, adjacency and

@@ -1,5 +1,4 @@
-module Design = Dpp_netlist.Design
-module Types = Dpp_netlist.Types
+module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 
 (* One Abacus cluster: [e] total weight, [w] total width, [q] the weighted
@@ -17,24 +16,18 @@ let place ~lo ~hi c =
   let x = c.q /. c.e in
   c.x <- max lo (min (hi -. c.w) x)
 
-let run (d : Design.t) ?(extra_obstacles = []) ?(skip = fun _ -> false) ~target_cx ~(legal : Legal.t) () =
-  let nc = Design.num_cells d in
+let run (s : Soa.t) ?(extra_obstacles = []) ?(skip = fun _ -> false) ~target_cx
+    ~(legal : Legal.t) () =
+  let nc = Soa.num_cells s in
   (* group cells per row *)
-  let per_row = Array.make d.Design.num_rows [] in
+  let per_row = Array.make s.Soa.num_rows [] in
   for i = nc - 1 downto 0 do
     let r = legal.Legal.assignment.(i) in
     if r >= 0 && not (skip i) then per_row.(r) <- i :: per_row.(r)
   done;
-  let obstacles =
-    extra_obstacles
-    @ (Array.to_list (Design.fixed_ids d)
-      |> List.filter_map (fun i ->
-             match (Design.cell d i).Types.c_kind with
-             | Types.Fixed -> Rect.intersection (Design.cell_rect d i) d.Design.die
-             | Types.Pad | Types.Movable -> None))
-  in
-  for r = 0 to d.Design.num_rows - 1 do
-    let segments = Legal.row_segments_for_test d obstacles r in
+  let obstacles = extra_obstacles @ Soa.fixed_obstacles s in
+  for r = 0 to s.Soa.num_rows - 1 do
+    let segments = Legal.row_segments s obstacles r in
     (* assign each cell of the row to the segment containing its legalized
        position *)
     let cells_by_segment =
@@ -43,7 +36,7 @@ let run (d : Design.t) ?(extra_obstacles = []) ?(skip = fun _ -> false) ~target_
           let mine =
             List.filter
               (fun i ->
-                let w = (Design.cell d i).Types.c_width in
+                let w = s.Soa.width.(i) in
                 let xl = legal.Legal.cx.(i) -. (w /. 2.0) in
                 xl >= lo -. 1e-6 && xl +. w <= hi +. 1e-6)
               per_row.(r)
@@ -57,7 +50,7 @@ let run (d : Design.t) ?(extra_obstacles = []) ?(skip = fun _ -> false) ~target_
         let ordered =
           List.map
             (fun i ->
-              let w = (Design.cell d i).Types.c_width in
+              let w = s.Soa.width.(i) in
               target_cx.(i) -. (w /. 2.0), w, i)
             cells
           |> List.sort compare
@@ -86,8 +79,8 @@ let run (d : Design.t) ?(extra_obstacles = []) ?(skip = fun _ -> false) ~target_
            origin) with a left-to-right aligned cursor so no overlap can
            reappear; cell widths are site multiples so alignment is
            preserved along the row *)
-        let site = d.Design.site_width in
-        let origin = d.Design.die.Rect.xl in
+        let site = s.Soa.site_width in
+        let origin = s.Soa.die.Rect.xl in
         let align_up v = origin +. (ceil (((v -. origin) /. site) -. 1e-9) *. site) in
         let align_round v = origin +. (Float.round ((v -. origin) /. site) *. site) in
         let cursor = ref (align_up lo) in
@@ -103,7 +96,7 @@ let run (d : Design.t) ?(extra_obstacles = []) ?(skip = fun _ -> false) ~target_
             cursor := start;
             List.iter
               (fun i ->
-                let w = (Design.cell d i).Types.c_width in
+                let w = s.Soa.width.(i) in
                 legal.Legal.cx.(i) <- !cursor +. (w /. 2.0);
                 cursor := !cursor +. w)
               (List.rev cluster.cells))

@@ -5,7 +5,7 @@
     segment, then snaps every cell to the site grid. *)
 
 val run :
-  Dpp_netlist.Design.t ->
+  Dpp_netlist.Soa.t ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
   ?skip:(int -> bool) ->
   target_cx:float array ->

@@ -1,4 +1,3 @@
-module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
 module Netbox = Dpp_wirelen.Netbox
@@ -192,10 +191,11 @@ let swap_pass (s : Soa.t) pool nb skip (legal : Legal.t) =
    median interval of its incident nets' bounding boxes computed without
    the cell itself.  A cell outside its region is moved into a free gap
    near the region if that lowers the HPWL of its nets. *)
-let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
+let move_pass (s : Soa.t) pool nb skip bound (legal : Legal.t) =
   let cx = legal.Legal.cx and cy = legal.Legal.cy in
-  let occ = Occ.build ~soa:s d ~cx ~cy in
-  let die = d.Design.die in
+  let occ = Occ.build s ~cx ~cy in
+  let die = s.Soa.die in
+  let rh = s.Soa.row_height in
   (* median interval of incident-net spans along one axis, cell excluded *)
   let optimal_region i axis_pos =
     let los = ref [] and his = ref [] in
@@ -222,12 +222,12 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
       let lo = med !los and hi = med !his in
       Some (min lo hi, max lo hi)
   in
-  let site = d.Design.site_width in
+  let site = s.Soa.site_width in
   let align_up v =
     die.Dpp_geom.Rect.xl +. (ceil (((v -. die.Dpp_geom.Rect.xl) /. site) -. 1e-9) *. site)
   in
   let cands =
-    Array.to_list (Design.movable_ids d)
+    Array.to_list (Soa.movable_ids s)
     |> List.filter (fun i ->
            (not (skip i)) && legal.Legal.assignment.(i) >= 0 && single_row s i)
     |> Array.of_list
@@ -243,10 +243,10 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
         | Some (xlo, xhi), Some (ylo, yhi) ->
           let tx = min (max cx.(i) xlo) xhi and ty = min (max cy.(i) ylo) yhi in
           let already_there =
-            abs_float (tx -. cx.(i)) < 1.0 && abs_float (ty -. cy.(i)) < d.Design.row_height
+            abs_float (tx -. cx.(i)) < 1.0 && abs_float (ty -. cy.(i)) < rh
           in
           if not already_there then begin
-            let target_row = Design.row_of_y d (ty -. (s.Soa.height.(i) /. 2.0)) in
+            let target_row = Soa.row_of_y s (ty -. (s.Soa.height.(i) /. 2.0)) in
             (* search free gaps in rows near the target; in region-bounded
                mode (incremental ECO) a candidate slot must keep the whole
                cell inside the bound *)
@@ -254,17 +254,17 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
               match bound with
               | None -> true
               | Some (b : Dpp_geom.Rect.t) ->
-                let y_lo = Design.row_y d r in
+                let y_lo = Soa.row_y s r in
                 cand_cx -. (w /. 2.0) >= b.Dpp_geom.Rect.xl -. 1e-9
                 && cand_cx +. (w /. 2.0) <= b.Dpp_geom.Rect.xh +. 1e-9
                 && y_lo >= b.Dpp_geom.Rect.yl -. 1e-9
-                && y_lo +. d.Design.row_height <= b.Dpp_geom.Rect.yh +. 1e-9
+                && y_lo +. rh <= b.Dpp_geom.Rect.yh +. 1e-9
             in
             let best = ref None in
             for dr = -1 to 1 do
               let r = target_row + dr in
-              if r >= 0 && r < d.Design.num_rows then begin
-                let row_cy = Design.row_y d r +. (d.Design.row_height /. 2.0) in
+              if r >= 0 && r < s.Soa.num_rows then begin
+                let row_cy = Soa.row_y s r +. (rh /. 2.0) in
                 match Occ.best_gap occ r ~w ~tx ~align:align_up with
                 | Some (gcost, cand_cx) when slot_ok r cand_cx ->
                   let cost = gcost +. abs_float (row_cy -. ty) in
@@ -278,7 +278,7 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
             | Some (_, r, cand_cx) ->
               cell1.(0) <- i;
               xs1.(0) <- cand_cx;
-              ys1.(0) <- Design.row_y d r +. (d.Design.row_height /. 2.0);
+              ys1.(0) <- Soa.row_y s r +. (rh /. 2.0);
               if Netbox.eval_moves nb ~k:1 cell1 xs1 ys1 < -1e-9 then
                 props := (i, r, cand_cx) :: !props
             | None -> ()
@@ -294,7 +294,7 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
          (* an earlier commit may have taken the gap *)
          if Occ.is_free occ r ~xl ~xh ~ignore:i then begin
            let orow = legal.Legal.assignment.(i) in
-           Netbox.move_cell nb i cand_cx (Design.row_y d r +. (d.Design.row_height /. 2.0));
+           Netbox.move_cell nb i cand_cx (Soa.row_y s r +. (rh /. 2.0));
            let delta = Netbox.delta nb in
            if delta < -1e-9 then begin
              Netbox.commit nb;
@@ -309,14 +309,9 @@ let move_pass (d : Design.t) (s : Soa.t) pool nb skip bound (legal : Legal.t) =
     proposals;
   !gain, !moves
 
-let run (d : Design.t) ?(pool = Pool.serial) ?soa ?(max_passes = 3) ?(skip = fun _ -> false)
-    ?bound ?netbox ~legal () =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  let nb =
-    match netbox with
-    | Some nb -> nb
-    | None -> Netbox.build (Pins.of_soa s) ~cx:legal.Legal.cx ~cy:legal.Legal.cy
-  in
+let run ?(pool = Pool.serial) ?(max_passes = 3) ?(skip = fun _ -> false) ?bound ~netbox:nb
+    ~legal () =
+  let s = (Netbox.pins nb).Pins.soa in
   let reorder_gain = ref 0.0 and swap_gain = ref 0.0 and moves = ref 0 in
   let pass = ref 0 in
   let improved = ref true in
@@ -324,7 +319,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?soa ?(max_passes = 3) ?(skip = fun
     incr pass;
     let g1, m1 = reorder_pass s pool nb skip legal in
     let g2, m2 = swap_pass s pool nb skip legal in
-    let g3, m3 = move_pass d s pool nb skip bound legal in
+    let g3, m3 = move_pass s pool nb skip bound legal in
     reorder_gain := !reorder_gain +. g1;
     swap_gain := !swap_gain +. g2 +. g3;
     moves := !moves + m1 + m2 + m3;

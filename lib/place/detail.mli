@@ -33,13 +33,11 @@ type stats = {
 }
 
 val run :
-  Dpp_netlist.Design.t ->
   ?pool:Dpp_par.Pool.t ->
-  ?soa:Dpp_netlist.Soa.t ->
   ?max_passes:int ->
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
-  ?netbox:Dpp_wirelen.Netbox.t ->
+  netbox:Dpp_wirelen.Netbox.t ->
   legal:Legal.t ->
   unit ->
   stats
@@ -52,8 +50,7 @@ val run :
     and swap already stay put — they permute existing slots of non-skipped
     cells).
 
-    [netbox], when given, {e must} have been built over the [legal.cx] /
-    [legal.cy] arrays (the flow's shared context guarantees this); when
-    absent a private one is built.  The move pass walks [soa]'s
-    deduplicated adjacency (a private view is derived when [soa] is
-    absent). *)
+    [netbox] {e must} have been built over the [legal.cx] / [legal.cy]
+    arrays (the flow's shared context guarantees this).  It is the only
+    netlist argument: the move pass walks the deduplicated adjacency of
+    its pin view's flat core. *)

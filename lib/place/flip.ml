@@ -1,4 +1,3 @@
-module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Orient = Dpp_geom.Orient
 module Pins = Dpp_wirelen.Pins
@@ -7,17 +6,15 @@ module Pool = Dpp_par.Pool
 
 type stats = { flips : int; gain : float; flipped : int list }
 
-let run (d : Design.t) ?(pool = Pool.serial) ?soa ?(skip = fun _ -> false) ?netbox ~cx ~cy
-    () =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  let nb = match netbox with Some nb -> nb | None -> Netbox.build (Pins.of_soa s) ~cx ~cy in
+let run ?(pool = Pool.serial) ?(skip = fun _ -> false) ~netbox:nb () =
+  let s = (Netbox.pins nb).Pins.soa in
   (* evaluate-parallel/commit-serial: workers score every candidate flip
      with the read-only {!Netbox.eval_flip} against the committed state;
      the serial phase re-checks each proposal transactionally in
      ascending chunk (= ascending id) order, since an earlier committed
      flip of a net neighbour can change the sign of a later delta. *)
   let cands =
-    Array.to_list (Design.movable_ids d)
+    Array.to_list (Soa.movable_ids s)
     |> List.filter (fun i -> (not (skip i)) && s.Soa.height.(i) <= s.Soa.row_height +. 1e-9)
     |> Array.of_list
   in
@@ -39,8 +36,9 @@ let run (d : Design.t) ?(pool = Pool.serial) ?soa ?(skip = fun _ -> false) ?netb
          let delta = Netbox.delta nb in
          if delta < -1e-9 then begin
            Netbox.commit nb;
-           (* s.orient aliases d.orient, so both views see the flip *)
-           d.Design.orient.(i) <- Orient.flip_x d.Design.orient.(i);
+           (* s.orient aliases the design's orient, so both views see
+              the flip *)
+           s.Soa.orient.(i) <- Orient.flip_x s.Soa.orient.(i);
            incr flips;
            gain := !gain -. delta;
            flipped := i :: !flipped

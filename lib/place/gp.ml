@@ -26,7 +26,7 @@ type config = {
   beta : float;
   groups : Dgroup.t list;  (** soft groups: alignment penalty *)
   rigid_groups : Dgroup.t list;  (** rigid groups: one macro variable each *)
-  pool : Dpp_par.Pool.t option;  (** worker pool for the cost kernels *)
+  pool : Dpp_par.Pool.t;  (** worker pool for the cost kernels *)
   routability : bool;  (** congestion-driven placement (RUDY feedback) *)
   rt_interval : int;  (** rounds between RUDY evaluations *)
   rt_overflow : float;  (** bin demand/supply ratio treated as congested *)
@@ -47,7 +47,7 @@ let default_config =
     beta = 0.0;
     groups = [];
     rigid_groups = [];
-    pool = None;
+    pool = Dpp_par.Pool.serial;
     routability = false;
     rt_interval = 3;
     rt_overflow = 1.0;
@@ -86,9 +86,12 @@ type result = {
 
 let grad_l1 g = Array.fold_left (fun acc v -> acc +. abs_float v) 0.0 g
 
-let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = [])
+let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pins : Pins.t)
     (d : Design.t) cfg ~cx ~cy =
-  let nc = Design.num_cells d in
+  let soa = pins.Pins.soa in
+  let die = soa.Soa.die in
+  let nc = Soa.num_cells soa in
+  let movable_ids = Array.to_list (Soa.movable_ids soa) in
   (* Arena-backed working buffers: [afloats]/[aints] are zero-filled
      drop-ins for [Array.make], [afloats_raw] is for buffers that are
      fully overwritten before any read (a recycled buffer may alias this
@@ -112,17 +115,10 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
     rigid;
   (* free movables: not frozen, not in a rigid group *)
   let movable_free =
-    Array.of_list
-      (List.filter
-         (fun i -> (not (frozen i)) && member_of.(i) < 0)
-         (Array.to_list (Design.movable_ids d)))
+    Array.of_list (List.filter (fun i -> (not (frozen i)) && member_of.(i) < 0) movable_ids)
   in
   let m = Array.length movable_free in
   let nvar = m + ng in
-  (* one flat-core derivation per level — or none at all when the caller
-     (the flow context) already owns the views for this design *)
-  let soa = match soa with Some s -> s | None -> Soa.of_design d in
-  let pins = match pins with Some p -> p | None -> Pins.of_soa soa in
   let nx, ny = match cfg.grid with Some (nx, ny) -> nx, ny | None -> Grid.default_dims d in
   let grid = Grid.build ~extra_obstacles d ~nx ~ny in
   (* An unreachable density target makes lambda escalate until wirelength
@@ -131,42 +127,27 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
      they count toward the load. *)
   let total_cap = Grid.total_capacity grid in
   let load_area =
-    Array.fold_left
-      (fun acc i ->
-        if frozen i then acc
-        else acc +. (soa.Soa.width.(i) *. soa.Soa.height.(i)))
-      0.0 (Design.movable_ids d)
+    List.fold_left
+      (fun acc i -> if frozen i then acc else acc +. (soa.Soa.width.(i) *. soa.Soa.height.(i)))
+      0.0 movable_ids
   in
   let util_eff = if total_cap > 0.0 then load_area /. total_cap else 1.0 in
   let target_density = min 1.0 (max cfg.target_density (util_eff +. 0.05)) in
-  let bell = Bell.create ~frozen ~soa d ~grid ~target_density in
-  (* Kernel selection: with a pool, wirelength goes through Par_grad
-     (bit-identical to the serial kernels) and density through the
-     chunk-merged Bell kernels (bit-stable across worker counts).  Both
-     are used even when the pool has one worker, so a flow's trajectory
-     depends only on whether a pool was supplied — never on its size. *)
-  let par = Option.map (fun pool -> Par_grad.create pool pins) cfg.pool in
-  let bell_par = Option.map (fun _ -> Bell.par_create bell) cfg.pool in
-  let model_value ~gamma ~cx ~cy =
-    match cfg.pool, par with
-    | Some pool, Some pg -> Par_grad.value pg pool cfg.model ~gamma ~cx ~cy
-    | _ -> Model.value cfg.model pins ~gamma ~cx ~cy
-  in
+  let bell = Bell.of_soa ~frozen soa ~grid ~target_density in
+  (* One kernel path: wirelength goes through Par_grad (bit-identical to
+     the serial kernels) and density through the chunk-merged Bell
+     kernels (bit-stable across worker counts), at every pool size —
+     {!Dpp_par.Pool.serial} included — so the trajectory never depends on
+     the worker count. *)
+  let pool = cfg.pool in
+  let par = Par_grad.create pool pins in
+  let bell_par = Bell.par_create bell in
+  let model_value ~gamma ~cx ~cy = Par_grad.value par pool cfg.model ~gamma ~cx ~cy in
   let model_value_grad ~gamma ~cx ~cy ~gx ~gy =
-    match cfg.pool, par with
-    | Some pool, Some pg -> Par_grad.value_grad pg pool cfg.model ~gamma ~cx ~cy ~gx ~gy
-    | _ -> Model.value_grad cfg.model pins ~gamma ~cx ~cy ~gx ~gy
+    Par_grad.value_grad par pool cfg.model ~gamma ~cx ~cy ~gx ~gy
   in
-  let bell_value ~cx ~cy =
-    match cfg.pool, bell_par with
-    | Some pool, Some bp -> Bell.par_value bp pool ~cx ~cy
-    | _ -> Bell.value bell ~cx ~cy
-  in
-  let bell_value_grad ~cx ~cy ~gx ~gy =
-    match cfg.pool, bell_par with
-    | Some pool, Some bp -> Bell.par_value_grad bp pool ~cx ~cy ~gx ~gy
-    | _ -> Bell.value_grad bell ~cx ~cy ~gx ~gy
-  in
+  let bell_value ~cx ~cy = Bell.par_value bell_par pool ~cx ~cy in
+  let bell_value_grad ~cx ~cy ~gx ~gy = Bell.par_value_grad bell_par pool ~cx ~cy ~gx ~gy in
   (* ----- routability state (RUDY feedback) -----
 
      Every [rt_interval] rounds the RUDY map is evaluated over the current
@@ -184,8 +165,7 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
   let rt_cells =
     if not rt_on then [||]
     else
-      Array.of_list
-        (List.filter (fun i -> not (frozen i)) (Array.to_list (Design.movable_ids d)))
+      Array.of_list (List.filter (fun i -> not (frozen i)) movable_ids)
   in
   let inflate =
     if rt_on then begin
@@ -206,8 +186,8 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
      Outside the bin-center lattice the field is extended constant, so the
      gradient vanishes there. *)
   let congest_sample (r : Rudy.t) p x y =
-    let fx = ((x -. d.Design.die.Rect.xl) /. r.Rudy.bin_w) -. 0.5 in
-    let fy = ((y -. d.Design.die.Rect.yl) /. r.Rudy.bin_h) -. 0.5 in
+    let fx = ((x -. die.Rect.xl) /. r.Rudy.bin_w) -. 0.5 in
+    let fy = ((y -. die.Rect.yl) /. r.Rudy.bin_h) -. 0.5 in
     let ux = max 0.0 (min (float_of_int (r.Rudy.nx - 1)) fx) in
     let uy = max 0.0 (min (float_of_int (r.Rudy.ny - 1)) fy) in
     let ix = min (max 0 (r.Rudy.nx - 2)) (int_of_float ux) in
@@ -249,18 +229,6 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
           acc := !acc +. (a *. v))
         rt_cells;
       !acc
-  in
-  let congest_grad ~cx ~cy ~gx ~gy =
-    match !rt_field with
-    | None -> ()
-    | Some (r, p) ->
-      Array.iter
-        (fun i ->
-          let a = soa.Soa.width.(i) *. soa.Soa.height.(i) in
-          let _, dx, dy = congest_sample r p cx.(i) cy.(i) in
-          gx.(i) <- gx.(i) +. (a *. dx);
-          gy.(i) <- gy.(i) +. (a *. dy))
-        rt_cells
   in
   (* fused congestion value+gradient: same cell order and value expression
      as [congest_value], so the value is bit-identical to it *)
@@ -304,7 +272,6 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
         dg.Dgroup.cells
     done
   in
-  let die = d.Design.die in
   let half_w = afloats_raw "gp.half_w" m and half_h = afloats_raw "gp.half_h" m in
   for k = 0 to m - 1 do
     half_w.(k) <- soa.Soa.width.(movable_free.(k)) /. 2.0;
@@ -472,7 +439,7 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
   in
   (* post-solve RUDY measurement — every round when routability is on *)
   let rt_measure () =
-    let r = Rudy.compute ?pool:cfg.pool ?arena ~pins d ~cx:wx ~cy:wy in
+    let r = Rudy.compute ~pool ?arena ~pins d ~cx:wx ~cy:wy in
     r, Rudy.stats r
   in
   (* steering: refresh the fixed congestion field, update the inflation
@@ -496,10 +463,10 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
     Array.iter
       (fun i ->
         let ix =
-          clamp_ix (int_of_float ((wx.(i) -. d.Design.die.Rect.xl) /. r.Rudy.bin_w))
+          clamp_ix (int_of_float ((wx.(i) -. die.Rect.xl) /. r.Rudy.bin_w))
         in
         let iy =
-          clamp_iy (int_of_float ((wy.(i) -. d.Design.die.Rect.yl) /. r.Rudy.bin_h))
+          clamp_iy (int_of_float ((wy.(i) -. die.Rect.yl) /. r.Rudy.bin_h))
         in
         let ratio = r.Rudy.demand.((iy * r.Rudy.nx) + ix) /. r.Rudy.supply in
         if ratio > cfg.rt_overflow then
@@ -525,7 +492,7 @@ let run ?arena ?soa ?pins ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles
     ignore (model_value_grad ~gamma:!gamma ~cx:wx ~cy:wy ~gx ~gy);
     Array.fill gxc 0 nc 0.0;
     Array.fill gyc 0 nc 0.0;
-    congest_grad ~cx:wx ~cy:wy ~gx:gxc ~gy:gyc;
+    ignore (congest_value_grad ~cx:wx ~cy:wy ~gx:gxc ~gy:gyc);
     let c_norm = grad_l1 gxc +. grad_l1 gyc in
     mu := (if c_norm > 0.0 then 0.5 *. (grad_l1 gx +. grad_l1 gy) /. c_norm else 0.0);
     let inflated =
@@ -687,10 +654,10 @@ let coarse_config cfg =
    cold start — this is where the multilevel speedup comes from. *)
 let refine_config cfg = { cfg with rounds = min cfg.rounds (max 4 (cfg.rounds / 3)) }
 
-let run_multilevel ?arena ?soa ?pins ?on_round ?on_level (d : Design.t) cfg
+let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
     ~(levels : Dpp_coarsen.level list) ~cx ~cy =
   match levels with
-  | [] -> { result = run ?arena ?soa ?pins ?on_round d cfg ~cx ~cy; level_trace = [] }
+  | [] -> { result = run ?arena ?on_round ~pins d cfg ~cx ~cy; level_trace = [] }
   | levels ->
     let larr = Array.of_list levels in
     let nl = Array.length larr in
@@ -705,17 +672,19 @@ let run_multilevel ?arena ?soa ?pins ?on_round ?on_level (d : Design.t) cfg
     let trace = ref [] in
     (* coarsest-first: solve each level, prolongate into the next finer *)
     for k = nl - 1 downto 0 do
-      let lvl = larr.(k) in
+      let coarse = larr.(k).Dpp_coarsen.coarse in
       let ccx, ccy = coords.(k + 1) in
       let name = Printf.sprintf "L%d" (k + 1) in
       let r =
         Dpp_util.Timer.time timer name (fun () ->
-            run lvl.Dpp_coarsen.coarse (coarse_config cfg) ~cx:ccx ~cy:ccy)
+            (* each coarse netlist gets its own views, derived here once *)
+            let pins = Pins.of_soa (Soa.of_design coarse) in
+            run ~pins coarse (coarse_config cfg) ~cx:ccx ~cy:ccy)
       in
       let info =
         {
           level = k + 1;
-          movables = Array.length (Design.movable_ids lvl.Dpp_coarsen.coarse);
+          movables = Array.length (Design.movable_ids coarse);
           rounds_run = List.length r.trace;
           hpwl = r.final_hpwl;
           overflow = r.final_overflow;
@@ -725,11 +694,11 @@ let run_multilevel ?arena ?soa ?pins ?on_round ?on_level (d : Design.t) cfg
       trace := info :: !trace;
       (match on_level with Some f -> f info | None -> ());
       let fcx, fcy = coords.(k) in
-      Dpp_coarsen.interpolate lvl ~ccx:r.cx ~ccy:r.cy ~cx:fcx ~cy:fcy
+      Dpp_coarsen.interpolate larr.(k) ~ccx:r.cx ~ccy:r.cy ~cx:fcx ~cy:fcy
     done;
     let fcx, fcy = coords.(0) in
     (* only the flat refinement shares the arena: the coarse levels all
        have different sizes, so recycling across them would just thrash
        the buffers (their views are also per-level by construction) *)
-    let r = run ?arena ?soa ?pins ?on_round d (refine_config cfg) ~cx:fcx ~cy:fcy in
+    let r = run ?arena ?on_round ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
     { result = r; level_trace = !trace }

@@ -1,4 +1,3 @@
-module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Pool = Dpp_par.Pool
@@ -21,12 +20,12 @@ module Log = (val Logs.src_log src : Logs.LOG)
    cell flush against a fractional segment edge would be pushed into the
    obstacle by the later site snap.  Aligning here makes the capacity the
    legalizer fits against and the positions Abacus emits agree. *)
-let row_segments (d : Design.t) obstacles r =
-  let die = d.Design.die in
-  let site = d.Design.site_width in
+let row_segments (s : Soa.t) obstacles r =
+  let die = s.Soa.die in
+  let site = s.Soa.site_width in
   let align_up v = die.Rect.xl +. (ceil (((v -. die.Rect.xl) /. site) -. 1e-9) *. site) in
   let align_down v = die.Rect.xl +. (floor (((v -. die.Rect.xl) /. site) +. 1e-9) *. site) in
-  let y_lo = Design.row_y d r and y_hi = Design.row_y d r +. d.Design.row_height in
+  let y_lo = Soa.row_y s r and y_hi = Soa.row_y s r +. s.Soa.row_height in
   let blocked =
     List.filter_map
       (fun (ob : Rect.t) ->
@@ -50,8 +49,6 @@ let row_segments (d : Design.t) obstacles r =
   if !cursor < die.Rect.xh then add !cursor die.Rect.xh;
   List.rev !segments
 
-let row_segments_for_test = row_segments
-
 (* Greedy free-interval legalization, parallel over row chunks.
 
    Rows are split into the pool's fixed 16 chunks; each chunk owns its
@@ -70,12 +67,11 @@ let row_segments_for_test = row_segments
    cursor, so it only fails when the die is genuinely overfull.  Within
    a row set, the search expands outward from the target row and stops
    once the vertical displacement alone exceeds the best cost found. *)
-let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
+let run (s : Soa.t) ?(pool = Pool.serial) ?arena ?(extra_obstacles = [])
     ?(skip = fun _ -> false) ?bound ~cx ~cy () =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
   let nc = Soa.num_cells s in
-  let nrows = d.Design.num_rows in
-  let rh = d.Design.row_height in
+  let nrows = s.Soa.num_rows in
+  let rh = s.Soa.row_height in
   (* region-bounded mode: only rows overlapping [bound] get free
      intervals, and those intervals are clipped to the bound's x-span, so
      every legalized cell lands inside the bound.  Target rows are clamped
@@ -85,8 +81,8 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
     match bound with
     | None -> 0, nrows
     | Some (b : Rect.t) ->
-      let lo = Design.row_of_y d (b.Rect.yl +. 1e-9) in
-      let hi = Design.row_of_y d (b.Rect.yh -. 1e-9) + 1 in
+      let lo = Soa.row_of_y s (b.Rect.yl +. 1e-9) in
+      let hi = Soa.row_of_y s (b.Rect.yh -. 1e-9) + 1 in
       max 0 lo, min nrows (max hi (lo + 1))
   in
   let clip_segments segs =
@@ -99,14 +95,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
           if hi -. lo > 1e-9 then Some (lo, hi) else None)
         segs
   in
-  let fixed_rects = ref [] in
-  for i = nc - 1 downto 0 do
-    if Dpp_util.Compact.I8.get s.Soa.kind i = Soa.kind_fixed then
-      match Rect.intersection (Soa.cell_rect s i) d.Design.die with
-      | Some r -> fixed_rects := r :: !fixed_rects
-      | None -> ()
-  done;
-  let obstacles = extra_obstacles @ !fixed_rects in
+  let obstacles = extra_obstacles @ Soa.fixed_obstacles s in
   let out_cx = Array.copy cx and out_cy = Array.copy cy in
   let assignment = Array.make nc (-1) in
   let todo = ref [] in
@@ -169,7 +158,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
       Intervals.alloc stores.(r) idx ~xl ~w;
       assignment.(i) <- r;
       out_cx.(i) <- xl +. (w /. 2.0);
-      out_cy.(i) <- Design.row_y d r +. (rh /. 2.0)
+      out_cy.(i) <- Soa.row_y s r +. (rh /. 2.0)
     in
     (* bucket cells by the chunk owning their target row *)
     let chunk_of_row = Array.make nrows 0 in
@@ -182,7 +171,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
     let buckets = Array.make Pool.chunk_count [] in
     List.iter
       (fun (target_xl, i) ->
-        let tr = Design.row_of_y d (cy.(i) -. (s.Soa.height.(i) /. 2.0)) in
+        let tr = Soa.row_of_y s (cy.(i) -. (s.Soa.height.(i) /. 2.0)) in
         let tr = max row_lo (min (row_hi - 1) tr) in
         buckets.(chunk_of_row.(tr)) <- (target_xl, tr, i) :: buckets.(chunk_of_row.(tr)))
       todo;
@@ -192,7 +181,7 @@ let run (d : Design.t) ?(pool = Pool.serial) ?arena ?soa ?(extra_obstacles = [])
         for r = lo to hi - 1 do
           Intervals.reset stores.(r)
             (if r < row_lo || r >= row_hi then []
-             else clip_segments (row_segments d obstacles r))
+             else clip_segments (row_segments s obstacles r))
         done;
         let spill = ref [] in
         List.iter

@@ -21,10 +21,9 @@ type t = {
 }
 
 val run :
-  Dpp_netlist.Design.t ->
+  Dpp_netlist.Soa.t ->
   ?pool:Dpp_par.Pool.t ->
   ?arena:Dpp_util.Arena.t ->
-  ?soa:Dpp_netlist.Soa.t ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
   ?skip:(int -> bool) ->
   ?bound:Dpp_geom.Rect.t ->
@@ -35,9 +34,8 @@ val run :
 (** [skip] marks cells to leave untouched (snapped group members).  Input
     arrays are not modified.  [pool] (default {!Dpp_par.Pool.serial})
     fans the chunk-local phase out over worker domains; the result does
-    not depend on the worker count.  [soa] supplies the flow's flat view
-    so the sort keys and interval widths come from flat arrays; without
-    it one is derived on the spot.  [arena] recycles the per-row
+    not depend on the worker count.  The fixed cells of the flat view
+    ({!Dpp_netlist.Soa.fixed_obstacles}) are always obstacles.  [arena] recycles the per-row
     free-interval stores across runs (every store is reset before use,
     so the result is bit-identical with or without one).
 
@@ -48,6 +46,6 @@ val run :
     [extra_obstacles] to keep them from being overlapped).  The bounded
     run keeps the worker-count determinism contract. *)
 
-val row_segments_for_test : Dpp_netlist.Design.t -> Dpp_geom.Rect.t list -> int -> (float * float) list
-(** The free x-spans of a row given obstacle rectangles — shared with
-    {!Abacus} and the tests. *)
+val row_segments : Dpp_netlist.Soa.t -> Dpp_geom.Rect.t list -> int -> (float * float) list
+(** The free x-spans of a row given obstacle rectangles, shrunk inward to
+    the site grid — shared with {!Abacus}. *)

@@ -4,7 +4,6 @@
    pruning, and an accepted move is two O(entries-shifted) splices instead
    of the old List.filter + full re-sort. *)
 
-module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 
@@ -22,24 +21,23 @@ let num_rows t = Array.length t.lens
 
 let row_entries t r = List.init t.lens.(r) (fun k -> t.xls.(r).(k), t.xhs.(r).(k), t.cells.(r).(k))
 
-let build ?soa (d : Design.t) ~cx ~cy =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  let nrows = d.Design.num_rows in
+let build (s : Soa.t) ~cx ~cy =
+  let nrows = s.Soa.num_rows in
   let rows = Array.make nrows [] in
   for i = Soa.num_cells s - 1 downto 0 do
     let kind = Dpp_util.Compact.I8.get s.Soa.kind i in
     if kind = Soa.kind_movable then begin
       let h = s.Soa.height.(i) and w = s.Soa.width.(i) in
-      let r0 = Design.row_of_y d (cy.(i) -. (h /. 2.0) +. 1e-9) in
-      let r1 = Design.row_of_y d (cy.(i) +. (h /. 2.0) -. 1e-9) in
+      let r0 = Soa.row_of_y s (cy.(i) -. (h /. 2.0) +. 1e-9) in
+      let r1 = Soa.row_of_y s (cy.(i) +. (h /. 2.0) -. 1e-9) in
       for r = max 0 r0 to min (nrows - 1) r1 do
         rows.(r) <- (cx.(i) -. (w /. 2.0), cx.(i) +. (w /. 2.0), i) :: rows.(r)
       done
     end
     else if kind = Soa.kind_fixed then begin
       let rect = Soa.cell_rect s i in
-      let r0 = Design.row_of_y d (rect.Rect.yl +. 1e-9) in
-      let r1 = Design.row_of_y d (rect.Rect.yh -. 1e-9) in
+      let r0 = Soa.row_of_y s (rect.Rect.yl +. 1e-9) in
+      let r1 = Soa.row_of_y s (rect.Rect.yh -. 1e-9) in
       for r = max 0 r0 to min (nrows - 1) r1 do
         rows.(r) <- (rect.Rect.xl, rect.Rect.xh, -1) :: rows.(r)
       done
@@ -64,7 +62,7 @@ let build ?soa (d : Design.t) ~cx ~cy =
           if xh -. xl > maxw.(r) then maxw.(r) <- xh -. xl)
         a)
     rows;
-  { xls; xhs; cells; lens; maxw; die_xl = d.Design.die.Rect.xl; die_xh = d.Design.die.Rect.xh }
+  { xls; xhs; cells; lens; maxw; die_xl = s.Soa.die.Rect.xl; die_xh = s.Soa.die.Rect.xh }
 
 (* First entry of row [r] with xl >= x, i.e. count of entries left of x. *)
 let lower_bound t r x =

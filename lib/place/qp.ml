@@ -1,5 +1,4 @@
-module Design = Dpp_netlist.Design
-module Types = Dpp_netlist.Types
+module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Csr = Dpp_numeric.Csr
 module Pcg = Dpp_numeric.Pcg
@@ -44,14 +43,14 @@ let result cx cy (st_x : Pcg.stats) (st_y : Pcg.stats) =
     residual_y = st_y.residual;
   }
 
-let run ?(seed = 1) ?(pool = Pool.serial) ~(soa : Dpp_netlist.Soa.t) (d : Design.t) =
-  let nc = Design.num_cells d in
-  let movable = Design.movable_ids d in
+let run ?(seed = 1) ?(pool = Pool.serial) (s : Soa.t) =
+  let nc = Soa.num_cells s in
+  let movable = Soa.movable_ids s in
   let m = Array.length movable in
   let var_of = Array.make nc (-1) in
   Array.iteri (fun v i -> var_of.(i) <- v) movable;
-  let cx = Array.init nc (fun i -> Design.cell_center_x d i) in
-  let cy = Array.init nc (fun i -> Design.cell_center_y d i) in
+  let cx = Array.init nc (Soa.cell_center_x s) in
+  let cy = Array.init nc (Soa.cell_center_y s) in
   if m > 0 then begin
     let trip = Csr.Triplets.create ~rows:m ~cols:m in
     let bx = Array.make m 0.0 and by = Array.make m 0.0 in
@@ -73,11 +72,11 @@ let run ?(seed = 1) ?(pool = Pool.serial) ~(soa : Dpp_netlist.Soa.t) (d : Design
         by.(vv) <- by.(vv) +. (w *. cy.(u))
       | false, false -> ()
     in
-    for n = 0 to Design.num_nets d - 1 do
-      let cells = Dpp_netlist.Soa.cells_of_net soa n in
+    for n = 0 to Soa.num_nets s - 1 do
+      let cells = Soa.cells_of_net s n in
       let k = Array.length cells in
       if k >= 2 then begin
-        let weight = soa.Dpp_netlist.Soa.net_weight.(n) in
+        let weight = s.Soa.net_weight.(n) in
         if k <= 4 then begin
           let w = weight /. float_of_int (k - 1) in
           for a = 0 to k - 1 do
@@ -96,7 +95,8 @@ let run ?(seed = 1) ?(pool = Pool.serial) ~(soa : Dpp_netlist.Soa.t) (d : Design
     done;
     (* weak center anchor for positive definiteness *)
     let anchor = 1e-4 in
-    let ctr_x = Rect.center_x d.Design.die and ctr_y = Rect.center_y d.Design.die in
+    let die = s.Soa.die in
+    let ctr_x = Rect.center_x die and ctr_y = Rect.center_y die in
     for v = 0 to m - 1 do
       Csr.Triplets.add trip v v anchor;
       bx.(v) <- bx.(v) +. (anchor *. ctr_x);
@@ -106,13 +106,12 @@ let run ?(seed = 1) ?(pool = Pool.serial) ~(soa : Dpp_netlist.Soa.t) (d : Design
     let (sol_x, st_x), (sol_y, st_y) = solve_axes pool a bx by in
     (* scatter, with deterministic one-site jitter to break ties *)
     let rng = Rng.create seed in
-    let die = d.Design.die in
+    let site = s.Soa.site_width in
     Array.iteri
       (fun v i ->
-        let jx = Rng.float_in rng (-.d.Design.site_width) d.Design.site_width in
-        let jy = Rng.float_in rng (-.d.Design.site_width) d.Design.site_width in
-        let c = Design.cell d i in
-        let hw = c.Types.c_width /. 2.0 and hh = c.Types.c_height /. 2.0 in
+        let jx = Rng.float_in rng (-.site) site in
+        let jy = Rng.float_in rng (-.site) site in
+        let hw = s.Soa.width.(i) /. 2.0 and hh = s.Soa.height.(i) /. 2.0 in
         cx.(i) <- max (die.Rect.xl +. hw) (min (die.Rect.xh -. hw) (sol_x.(v) +. jx));
         cy.(i) <- max (die.Rect.yl +. hh) (min (die.Rect.yh -. hh) (sol_y.(v) +. jy)))
       movable;

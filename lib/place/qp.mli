@@ -23,10 +23,9 @@ type result = {
 val max_iter : int
 (** PCG iteration cap per axis (600). *)
 
-val run :
-  ?seed:int -> ?pool:Dpp_par.Pool.t -> soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> result
-(** [soa] must be the flat view of the design; the net model walks its
-    deduplicated adjacency.
+val run : ?seed:int -> ?pool:Dpp_par.Pool.t -> Dpp_netlist.Soa.t -> result
+(** The net model walks the flat view's deduplicated adjacency; the start
+    centers of fixed cells are read from its live coordinates.
 
     Both axes share one matrix.  With a [pool] of two or more workers
     (default {!Dpp_par.Pool.serial}) the x solve runs on worker 0 and the

@@ -1,7 +1,7 @@
-module Design = Dpp_netlist.Design
-module Types = Dpp_netlist.Types
+module Soa = Dpp_netlist.Soa
 module Groups = Dpp_netlist.Groups
 module Rect = Dpp_geom.Rect
+module I32 = Dpp_util.Compact.I32
 
 type t = {
   group : Groups.t;
@@ -12,22 +12,23 @@ type t = {
   height : float;
 }
 
-let build ?stage_order ?slice_order ?fold (d : Design.t) g =
+let build ?stage_order ?slice_order ?fold (s : Soa.t) g =
   let slices = Groups.num_slices g and stages = Groups.num_stages g in
   let stage_order = Option.value stage_order ~default:(Array.init stages Fun.id) in
   let slice_order = Option.value slice_order ~default:(Array.init slices Fun.id) in
   (* column widths, indexed by array column (i.e. after reordering) *)
   let col_w = Array.make stages 0.0 in
-  for s = 0 to slices - 1 do
+  for sl = 0 to slices - 1 do
     for k = 0 to stages - 1 do
-      let c = g.Groups.g_rows.(s).(k) in
+      let c = g.Groups.g_rows.(sl).(k) in
       if c >= 0 then begin
         let col = stage_order.(k) in
-        col_w.(col) <- max col_w.(col) (Design.cell d c).Types.c_width
+        col_w.(col) <- max col_w.(col) s.Soa.width.(c)
       end
     done
   done;
-  let spacing = d.Design.site_width in
+  let spacing = s.Soa.site_width in
+  let row_height = s.Soa.row_height and die = s.Soa.die in
   (* stages pack tight: an airy array wastes row capacity and starves the
      legalizer around it *)
   let col_x = Array.make stages 0.0 in
@@ -46,45 +47,44 @@ let build ?stage_order ?slice_order ?fold (d : Design.t) g =
     match fold with
     | Some f -> max 1 f
     | None ->
-      let h1 = float_of_int slices *. d.Design.row_height in
+      let h1 = float_of_int slices *. row_height in
       let f = int_of_float (Float.round (sqrt (h1 /. max 1.0 block_w))) in
       (* cap the folded height at ~a third of the die so one array cannot
          wall off the floorplan, and cap the width at ~90% of the die so
          wide merged groups still fit *)
       let rows_cap =
-        max 2 (int_of_float (0.35 *. Rect.height d.Design.die /. d.Design.row_height))
+        max 2 (int_of_float (0.35 *. Rect.height die /. row_height))
       in
       let f_min = (slices + rows_cap - 1) / rows_cap in
       let f_max_width =
         let pitch = block_w +. (2.0 *. spacing) in
-        max 1 (int_of_float (floor ((0.9 *. Rect.width d.Design.die) /. pitch)))
+        max 1 (int_of_float (floor ((0.9 *. Rect.width die) /. pitch)))
       in
       max 1 (min (min (max f f_min) f_max_width) (max 1 (slices / 2)))
   in
   let rows = (slices + fold - 1) / fold in
   let block_pitch = block_w +. (2.0 *. spacing) in
   let width = (float_of_int fold *. block_pitch) -. (2.0 *. spacing) in
-  let height = float_of_int rows *. d.Design.row_height in
+  let height = float_of_int rows *. row_height in
   let row_of_slot slot =
     let b = slot / rows in
     let r = slot mod rows in
     if b mod 2 = 0 then r else rows - 1 - r
   in
   let cells = ref [] and offs = ref [] in
-  for s = 0 to slices - 1 do
+  for sl = 0 to slices - 1 do
     for k = 0 to stages - 1 do
-      let c = g.Groups.g_rows.(s).(k) in
+      let c = g.Groups.g_rows.(sl).(k) in
       if c >= 0 then begin
-        let cell = Design.cell d c in
-        let slot = slice_order.(s) in
+        let slot = slice_order.(sl) in
         let b = slot / rows in
         let row = row_of_slot slot in
         let ox =
           (float_of_int b *. block_pitch)
           +. col_x.(stage_order.(k))
-          +. (cell.Types.c_width /. 2.0)
+          +. (s.Soa.width.(c) /. 2.0)
         in
-        let oy = (float_of_int row *. d.Design.row_height) +. (cell.Types.c_height /. 2.0) in
+        let oy = (float_of_int row *. row_height) +. (s.Soa.height.(c) /. 2.0) in
         cells := c :: !cells;
         offs := (ox, oy) :: !offs
       end
@@ -104,7 +104,7 @@ let build ?stage_order ?slice_order ?fold (d : Design.t) g =
 
 type regularity = { coupling : float; slice_span : float }
 
-let regularity (d : Design.t) groups =
+let regularity (s : Soa.t) groups =
   let ix = Groups.index groups in
   let ptr = ix.Groups.ix_ptr and grp = ix.Groups.ix_group and slc = ix.Groups.ix_slice in
   let ncells = Array.length ptr - 1 and ng = List.length groups in
@@ -114,69 +114,66 @@ let regularity (d : Design.t) groups =
   let seen = Array.make ng (-1) and inside = Array.make ng 0 in
   let smin = Array.make ng 0 and smax = Array.make ng 0 in
   let touched = Array.make ng 0 in
-  Array.iteri
-    (fun n (net : Types.net) ->
-      let ntouched = ref 0 in
-      Array.iter
-        (fun p ->
-          let c = (Design.pin d p).Types.p_cell in
-          if c < ncells then
-            for k = ptr.(c) to ptr.(c + 1) - 1 do
-              let g = grp.(k) and s = slc.(k) in
-              if seen.(g) <> n then begin
-                seen.(g) <- n;
-                inside.(g) <- 0;
-                smin.(g) <- s;
-                smax.(g) <- s;
-                touched.(!ntouched) <- g;
-                incr ntouched
-              end;
-              inside.(g) <- inside.(g) + 1;
-              if s < smin.(g) then smin.(g) <- s;
-              if s > smax.(g) then smax.(g) <- s
-            done)
-        net.Types.n_pins;
-      (* groups are visited in net order, so each float total sums in the
-         same order as a per-group scan over the nets *)
-      for k = 0 to !ntouched - 1 do
-        let g = touched.(k) in
-        if inside.(g) = Array.length net.Types.n_pins then begin
-          intra.(g) <- intra.(g) + inside.(g);
-          total.(g) <- total.(g) +. float_of_int (smax.(g) - smin.(g));
-          count.(g) <- count.(g) + 1
-        end
-        else boundary.(g) <- boundary.(g) + inside.(g)
-      done)
-    d.Design.nets;
+  for n = 0 to Soa.num_nets s - 1 do
+    let ntouched = ref 0 in
+    for q = I32.get s.Soa.net_pin_off n to I32.get s.Soa.net_pin_off (n + 1) - 1 do
+      let c = I32.get s.Soa.pin_cell (I32.get s.Soa.net_pin q) in
+      if c < ncells then
+        for k = ptr.(c) to ptr.(c + 1) - 1 do
+          let g = grp.(k) and sl = slc.(k) in
+          if seen.(g) <> n then begin
+            seen.(g) <- n;
+            inside.(g) <- 0;
+            smin.(g) <- sl;
+            smax.(g) <- sl;
+            touched.(!ntouched) <- g;
+            incr ntouched
+          end;
+          inside.(g) <- inside.(g) + 1;
+          if sl < smin.(g) then smin.(g) <- sl;
+          if sl > smax.(g) then smax.(g) <- sl
+        done
+    done;
+    (* groups are visited in net order, so each float total sums in the
+       same order as a per-group scan over the nets *)
+    for k = 0 to !ntouched - 1 do
+      let g = touched.(k) in
+      if inside.(g) = Soa.net_degree s n then begin
+        intra.(g) <- intra.(g) + inside.(g);
+        total.(g) <- total.(g) +. float_of_int (smax.(g) - smin.(g));
+        count.(g) <- count.(g) + 1
+      end
+      else boundary.(g) <- boundary.(g) + inside.(g)
+    done
+  done;
   List.init ng (fun g ->
       {
         coupling = float_of_int intra.(g) /. float_of_int (max 1 (intra.(g) + boundary.(g)));
         slice_span = (if count.(g) = 0 then 0.0 else total.(g) /. float_of_int count.(g));
       })
 
-let of_movable_macro (d : Design.t) i =
-  let c = Design.cell d i in
-  if Types.is_fixed_kind c.Types.c_kind then invalid_arg "Dgroup.of_movable_macro: fixed cell";
+let of_movable_macro (s : Soa.t) i =
+  if Soa.is_fixed s i then invalid_arg "Dgroup.of_movable_macro: fixed cell";
+  let w = s.Soa.width.(i) and h = s.Soa.height.(i) in
   {
-    group = Groups.make c.Types.c_name [| [| i |] |];
+    group = Groups.make s.Soa.cell_name.(i) [| [| i |] |];
     cells = [| i |];
-    off_x = [| c.Types.c_width /. 2.0 |];
-    off_y = [| c.Types.c_height /. 2.0 |];
-    width = c.Types.c_width;
-    height = c.Types.c_height;
+    off_x = [| w /. 2.0 |];
+    off_y = [| h /. 2.0 |];
+    width = w;
+    height = h;
   }
 
-let movable_macros (d : Design.t) =
-  Array.to_list (Design.movable_ids d)
-  |> List.filter (fun i ->
-         (Design.cell d i).Types.c_height > d.Design.row_height +. 1e-9)
+let movable_macros (s : Soa.t) =
+  Array.to_list (Soa.movable_ids s)
+  |> List.filter (fun i -> s.Soa.height.(i) > s.Soa.row_height +. 1e-9)
 
 let src = Logs.Src.create "dpp.structure" ~doc:"datapath structure handling"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-let fits (d : Design.t) g dg =
-  let die = d.Design.die in
+let fits (s : Soa.t) g dg =
+  let die = s.Soa.die in
   if dg.width > Rect.width die || dg.height > Rect.height die then begin
     Log.warn (fun m ->
         m "group %s (%.0fx%.0f) larger than the die; dropping its alignment"
@@ -185,11 +182,11 @@ let fits (d : Design.t) g dg =
   end
   else true
 
-let build_all (d : Design.t) groups =
+let build_all (s : Soa.t) groups =
   List.filter_map
     (fun g ->
-      let dg = build d g in
-      if fits d g dg then Some dg else None)
+      let dg = build s g in
+      if fits s g dg then Some dg else None)
     groups
 
 (* Greedy chain ordering: repeatedly attach, at either end of the path, the
@@ -248,52 +245,51 @@ let orient order means n =
 
 (* Inter-column / inter-row connection weights from the nets touching the
    group; each net contributes 1/(k-1) per pair to keep big nets gentle. *)
-let connection_weights (d : Design.t) g =
+let connection_weights (s : Soa.t) g =
   let slices = Groups.num_slices g and stages = Groups.num_stages g in
   let stage_of = Hashtbl.create 64 and slice_of = Hashtbl.create 64 in
-  for s = 0 to slices - 1 do
+  for sl = 0 to slices - 1 do
     for k = 0 to stages - 1 do
-      let c = g.Groups.g_rows.(s).(k) in
+      let c = g.Groups.g_rows.(sl).(k) in
       if c >= 0 then begin
         Hashtbl.replace stage_of c k;
-        Hashtbl.replace slice_of c s
+        Hashtbl.replace slice_of c sl
       end
     done
   done;
   let w_stage = Array.make_matrix stages stages 0.0 in
   let w_slice = Array.make_matrix slices slices 0.0 in
-  Array.iter
-    (fun (net : Types.net) ->
-      let members =
-        Array.to_list net.Types.n_pins
-        |> List.filter_map (fun p ->
-               let c = (Design.pin d p).Types.p_cell in
-               match Hashtbl.find_opt stage_of c, Hashtbl.find_opt slice_of c with
-               | Some k, Some s -> Some (c, k, s)
-               | _, _ -> None)
-        |> List.sort_uniq compare
-      in
-      let m = List.length members in
-      if m >= 2 then begin
-        let inc = 1.0 /. float_of_int (m - 1) in
-        List.iter
-          (fun (c1, k1, s1) ->
-            List.iter
-              (fun (c2, k2, s2) ->
-                if c1 < c2 then begin
-                  if k1 <> k2 then begin
-                    w_stage.(k1).(k2) <- w_stage.(k1).(k2) +. inc;
-                    w_stage.(k2).(k1) <- w_stage.(k2).(k1) +. inc
-                  end;
-                  if s1 <> s2 then begin
-                    w_slice.(s1).(s2) <- w_slice.(s1).(s2) +. inc;
-                    w_slice.(s2).(s1) <- w_slice.(s2).(s1) +. inc
-                  end
-                end)
-              members)
-          members
-      end)
-    d.Design.nets;
+  for n = 0 to Soa.num_nets s - 1 do
+    (* the net's distinct cells ascending: the members' order is the
+       accumulation order below *)
+    let members =
+      Array.to_list (Soa.cells_of_net s n)
+      |> List.filter_map (fun c ->
+             match Hashtbl.find_opt stage_of c, Hashtbl.find_opt slice_of c with
+             | Some k, Some sl -> Some (c, k, sl)
+             | _, _ -> None)
+    in
+    let m = List.length members in
+    if m >= 2 then begin
+      let inc = 1.0 /. float_of_int (m - 1) in
+      List.iter
+        (fun (c1, k1, s1) ->
+          List.iter
+            (fun (c2, k2, s2) ->
+              if c1 < c2 then begin
+                if k1 <> k2 then begin
+                  w_stage.(k1).(k2) <- w_stage.(k1).(k2) +. inc;
+                  w_stage.(k2).(k1) <- w_stage.(k2).(k1) +. inc
+                end;
+                if s1 <> s2 then begin
+                  w_slice.(s1).(s2) <- w_slice.(s1).(s2) +. inc;
+                  w_slice.(s2).(s1) <- w_slice.(s2).(s1) +. inc
+                end
+              end)
+            members)
+        members
+    end
+  done;
   w_stage, w_slice
 
 let axis_means g ~cx ~cy =
@@ -319,16 +315,16 @@ let axis_means g ~cx ~cy =
   done;
   stage_mean, slice_mean
 
-let build_all_ordered (d : Design.t) groups ~cx ~cy =
+let build_all_ordered (s : Soa.t) groups ~cx ~cy =
   List.filter_map
     (fun g ->
       let slices = Groups.num_slices g and stages = Groups.num_stages g in
-      let w_stage, w_slice = connection_weights d g in
+      let w_stage, w_slice = connection_weights s g in
       let stage_mean, slice_mean = axis_means g ~cx ~cy in
       let stage_order = orient (chain_order w_stage stages) stage_mean stages in
       let slice_order = orient (chain_order w_slice slices) slice_mean slices in
-      let dg = build ~stage_order ~slice_order d g in
-      if fits d g dg then Some dg else None)
+      let dg = build ~stage_order ~slice_order s g in
+      if fits s g dg then Some dg else None)
     groups
 
 let origin_of_positions t ~cx ~cy =

@@ -20,7 +20,7 @@ val build :
   ?stage_order:int array ->
   ?slice_order:int array ->
   ?fold:int ->
-  Dpp_netlist.Design.t ->
+  Dpp_netlist.Soa.t ->
   Dpp_netlist.Groups.t ->
   t
 (** [stage_order.(k)] is the array column where logical stage [k] lands
@@ -29,12 +29,12 @@ val build :
     balances the footprint aspect ratio; 1 = classic one-row-per-slice).
     @raise Invalid_argument if the group has no placeable member. *)
 
-val build_all : Dpp_netlist.Design.t -> Dpp_netlist.Groups.t list -> t list
+val build_all : Dpp_netlist.Soa.t -> Dpp_netlist.Groups.t list -> t list
 (** Groups whose idealized array cannot fit the die (even after clamping)
     are dropped with a warning via [Logs]. *)
 
 val build_all_ordered :
-  Dpp_netlist.Design.t ->
+  Dpp_netlist.Soa.t ->
   Dpp_netlist.Groups.t list ->
   cx:float array ->
   cy:float array ->
@@ -49,13 +49,13 @@ val build_all_ordered :
     arbitrary relative to the dataflow; without this reordering the
     alignment force fights the net forces instead of helping them. *)
 
-val of_movable_macro : Dpp_netlist.Design.t -> int -> t
+val of_movable_macro : Dpp_netlist.Soa.t -> int -> t
 (** A single-cell pseudo-group for a movable multi-row macro (an embedded
     RAM): the mixed-size flow places such cells through the same rigid
     machinery as datapath arrays.
     @raise Invalid_argument if the cell is fixed. *)
 
-val movable_macros : Dpp_netlist.Design.t -> int list
+val movable_macros : Dpp_netlist.Soa.t -> int list
 (** Movable cells taller than one row — the mixed-size population. *)
 
 type regularity = {
@@ -76,10 +76,10 @@ type regularity = {
           regularity filter rejects groups above a span threshold. *)
 }
 
-val regularity : Dpp_netlist.Design.t -> Dpp_netlist.Groups.t list -> regularity list
+val regularity : Dpp_netlist.Soa.t -> Dpp_netlist.Groups.t list -> regularity list
 (** The regularity scores of every group, in list order, from one pass
-    over the nets through a cell -> group index: O(pins + incidences),
-    not O(groups x pins).  Groups may overlap; a cell listed in several
+    over the net -> pin -> cell CSR through a cell -> group index:
+    O(pins + incidences), not O(groups x pins).  Groups may overlap; a cell listed in several
     slices of one group counts in its last.  Each group's float total is
     accumulated in net order, so the scores are bit-identical to scanning
     the nets once per group. *)

@@ -1,5 +1,3 @@
-module Design = Dpp_netlist.Design
-module Types = Dpp_netlist.Types
 module Rect = Dpp_geom.Rect
 module Soa = Dpp_netlist.Soa
 module Pins = Dpp_wirelen.Pins
@@ -13,23 +11,16 @@ module Log = (val Logs.src_log src : Logs.LOG)
 
 let round_to ~step ~origin v = origin +. (Float.round ((v -. origin) /. step) *. step)
 
-let fixed_rects (d : Design.t) =
-  Array.to_list (Design.fixed_ids d)
-  |> List.filter_map (fun i ->
-         match (Design.cell d i).Types.c_kind with
-         | Types.Fixed -> Rect.intersection (Design.cell_rect d i) d.Design.die
-         | Types.Pad | Types.Movable -> None)
-
 let collides rect obstacles = List.exists (Rect.overlaps rect) obstacles
 
-let clamp_origin (d : Design.t) (dg : Dgroup.t) ox oy =
-  let die = d.Design.die in
+let clamp_origin (s : Soa.t) (dg : Dgroup.t) ox oy =
+  let die = s.Soa.die in
   let ox = max die.Rect.xl (min (die.Rect.xh -. dg.Dgroup.width) ox) in
   let oy = max die.Rect.yl (min (die.Rect.yh -. dg.Dgroup.height) oy) in
-  let ox = round_to ~step:d.Design.site_width ~origin:die.Rect.xl ox in
-  let oy = round_to ~step:d.Design.row_height ~origin:die.Rect.yl oy in
-  let ox = if ox +. dg.Dgroup.width > die.Rect.xh then ox -. d.Design.site_width else ox in
-  let oy = if oy +. dg.Dgroup.height > die.Rect.yh then oy -. d.Design.row_height else oy in
+  let ox = round_to ~step:s.Soa.site_width ~origin:die.Rect.xl ox in
+  let oy = round_to ~step:s.Soa.row_height ~origin:die.Rect.yl oy in
+  let ox = if ox +. dg.Dgroup.width > die.Rect.xh then ox -. s.Soa.site_width else ox in
+  let oy = if oy +. dg.Dgroup.height > die.Rect.yh then oy -. s.Soa.row_height else oy in
   max die.Rect.xl ox, max die.Rect.yl oy
 
 let group_rect (dg : Dgroup.t) ox oy =
@@ -53,10 +44,10 @@ let place_members (dg : Dgroup.t) ox oy ~cx ~cy =
 
 (* Candidate origins: the clamped least-squares origin plus an outward
    spiral on the (site*8, row) lattice. *)
-let candidates (d : Design.t) (dg : Dgroup.t) ox oy obstacles ~max_radius ~max_count =
-  let die = d.Design.die in
-  let xstep = 8.0 *. d.Design.site_width in
-  let ystep = d.Design.row_height in
+let candidates (s : Soa.t) (dg : Dgroup.t) ox oy obstacles ~max_radius ~max_count =
+  let die = s.Soa.die in
+  let xstep = 8.0 *. s.Soa.site_width in
+  let ystep = s.Soa.row_height in
   let feasible ox oy =
     if
       ox >= die.Rect.xl -. 1e-9
@@ -99,10 +90,10 @@ let candidates (d : Design.t) (dg : Dgroup.t) ox oy obstacles ~max_radius ~max_c
   done;
   List.rev !found
 
-let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) ~(pins : Pins.t) (d : Design.t) dgs
-    ~cx ~cy =
-  let die_area = Rect.area d.Design.die in
-  let fixed = extra_obstacles @ fixed_rects d in
+let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) ~(pins : Pins.t) dgs ~cx ~cy =
+  let s = pins.Pins.soa in
+  let die_area = Rect.area s.Soa.die in
+  let fixed = extra_obstacles @ Soa.fixed_obstacles s in
   let order =
     List.sort
       (fun a b -> compare (Array.length b.Dgroup.cells) (Array.length a.Dgroup.cells))
@@ -118,10 +109,10 @@ let snap ?(max_die_fraction = 0.25) ?(extra_obstacles = []) ~(pins : Pins.t) (d 
               dg.Dgroup.group.Dpp_netlist.Groups.g_name footprint (100.0 *. max_die_fraction))
       else begin
         let ox, oy = Dgroup.origin_of_positions dg ~cx ~cy in
-        let ox, oy = clamp_origin d dg ox oy in
+        let ox, oy = clamp_origin s dg ox oy in
         let obstacles = fixed @ List.map (fun p -> p.rect) !placed in
-        let cands = candidates d dg ox oy obstacles ~max_radius:12 ~max_count:48 in
-        let nets = incident_nets pins.Pins.soa dg in
+        let cands = candidates s dg ox oy obstacles ~max_radius:12 ~max_count:48 in
+        let nets = incident_nets s dg in
         let eval () = List.fold_left (fun acc n -> acc +. Hpwl.net pins ~cx ~cy n) 0.0 nets in
         (* save member positions once; trial each candidate in place *)
         let saved =

@@ -28,7 +28,6 @@ val snap :
   ?max_die_fraction:float ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
   pins:Dpp_wirelen.Pins.t ->
-  Dpp_netlist.Design.t ->
   Dgroup.t list ->
   cx:float array ->
   cy:float array ->

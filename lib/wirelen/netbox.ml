@@ -175,6 +175,7 @@ let build ?pool ?reuse (pins : Pins.t) ~cx ~cy =
   done;
   t
 
+let pins t = t.pins
 let total t = t.total
 let in_transaction t = t.active
 let net_box t n = t.xmin.(n), t.xmax.(n), t.ymin.(n), t.ymax.(n)

@@ -29,6 +29,9 @@ val build : ?pool:Dpp_par.Pool.t -> ?reuse:t -> Pins.t -> cx:float array -> cy:f
     does not match (different pins, different net count, or mid
     transaction). *)
 
+val pins : t -> Pins.t
+(** The pin view the cache was built over — detail and flip's netlist. *)
+
 val total : t -> float
 (** Committed weighted HPWL (ignores any open transaction). *)
 

@@ -74,8 +74,8 @@ let test_clear_drops () =
 let gp_cfg = { Gp.default_config with Gp.rounds = 5; inner_iters = 15 }
 
 let run_gp ?arena d =
-  let qp = Qp.run ~soa:(Dpp_netlist.Soa.of_design d) d in
-  let r = Gp.run ?arena d gp_cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let qp = Qp.run (Dpp_netlist.Soa.of_design d) in
+  let r = Gp.run ?arena ~pins:(Pins.build d) d gp_cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   (* arena-backed results alias arena buffers: snapshot before reuse *)
   Array.copy r.Gp.cx, Array.copy r.Gp.cy, r.Gp.final_hpwl
 

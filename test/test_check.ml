@@ -94,10 +94,11 @@ let test_legalizer_idempotent () =
   let r = Lazy.force placed in
   let d = r.Flow.design in
   let cx, cy = final_coords r in
-  let legal = Legal.run d ~cx ~cy () in
+  let soa = Dpp_netlist.Soa.of_design d in
+  let legal = Legal.run soa ~cx ~cy () in
   Alcotest.(check (list string)) "no cell failed to fit" []
     (List.map string_of_int legal.Legal.failed);
-  Abacus.run d ~target_cx:cx ~legal ();
+  Abacus.run soa ~target_cx:cx ~legal ();
   let drift = ref 0.0 in
   Array.iter
     (fun i ->

@@ -23,7 +23,7 @@ let scaled_design ?(cells = 900) seed =
 (* idealized datapath groups from the generator's ground truth *)
 let dgroups_of d =
   let cx, cy = Pins.centers_of_design d in
-  Dgroup.build_all_ordered d d.Design.groups ~cx ~cy
+  Dgroup.build_all_ordered (Soa.of_design d) d.Design.groups ~cx ~cy
 
 let build_levels ?(seed = 7) d =
   Coarsen.build ~groups:(dgroups_of d) ~min_cells:100 ~max_levels:3 ~seed d
@@ -139,8 +139,8 @@ let gp_config = { Gp.default_config with Gp.rounds = 12; inner_iters = 25 }
 
 let test_gp_overflow_trend () =
   let d = scaled_design ~cells:600 26 in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let r = Gp.run d gp_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let qp = Qp.run ~seed:1 (Soa.of_design d) in
+  let r = Gp.run ~pins:(Pins.build d) d gp_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let ovs = List.map (fun (ri : Gp.round_info) -> ri.Gp.overflow) r.Gp.trace in
   (match ovs with
   | first :: _ :: _ ->
@@ -163,10 +163,12 @@ let test_multilevel_vs_flat_hpwl () =
   let d = scaled_design ~cells:800 27 in
   let levels = Coarsen.build ~groups:(dgroups_of d) ~min_cells:150 ~max_levels:2 ~seed:9 d in
   Alcotest.(check bool) "hierarchy engaged" true (levels <> []);
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let flat = Gp.run d gp_config ~cx:(Array.copy qp.Qp.cx) ~cy:(Array.copy qp.Qp.cy) in
+  let qp = Qp.run ~seed:1 (Soa.of_design d) in
+  let flat =
+    Gp.run ~pins:(Pins.build d) d gp_config ~cx:(Array.copy qp.Qp.cx) ~cy:(Array.copy qp.Qp.cy)
+  in
   let ml =
-    Gp.run_multilevel d gp_config ~levels ~cx:(Array.copy qp.Qp.cx)
+    Gp.run_multilevel ~pins:(Pins.build d) d gp_config ~levels ~cx:(Array.copy qp.Qp.cx)
       ~cy:(Array.copy qp.Qp.cy)
   in
   let ratio = ml.Gp.result.Gp.final_hpwl /. flat.Gp.final_hpwl in

@@ -71,8 +71,11 @@ let test_rudy_placement_sensitivity () =
   (* total RUDY demand volume equals the sum of net half-perimeters, so a
      shorter-wirelength placement must have lower average demand *)
   let d = Dpp_gen.Compose.build (List.nth Dpp_gen.Presets.suite 4) in
-  let qp = Dpp_place.Qp.run ~seed:1 ~soa:(Dpp_netlist.Soa.of_design d) d in
-  let gp = Dpp_place.Gp.run d Dpp_place.Gp.default_config ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
+  let qp = Dpp_place.Qp.run ~seed:1 (Dpp_netlist.Soa.of_design d) in
+  let gp =
+    Dpp_place.Gp.run ~pins:(Pins.build d) d Dpp_place.Gp.default_config ~cx:qp.Dpp_place.Qp.cx
+      ~cy:qp.Dpp_place.Qp.cy
+  in
   let pins = Pins.build d in
   let hp_qp = Dpp_wirelen.Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
   let hp_gp = Dpp_wirelen.Hpwl.total pins ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy in

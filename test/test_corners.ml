@@ -76,7 +76,8 @@ let test_chain_ordering_places_connected_stages_adjacent () =
   Builder.add_group b (Dpp_netlist.Groups.make "g" rows);
   let d = Builder.finish b in
   let cx, cy = Dpp_wirelen.Pins.centers_of_design d in
-  match Dpp_structure.Dgroup.build_all_ordered d d.Design.groups ~cx ~cy with
+  let soa = Dpp_netlist.Soa.of_design d in
+  match Dpp_structure.Dgroup.build_all_ordered soa d.Design.groups ~cx ~cy with
   | [ dg ] ->
     (* in the idealized array, |x(a) - x(c)| and |x(c) - x(b)| must both be
        smaller than |x(a) - x(b)| (stage c between a and b) *)
@@ -139,7 +140,8 @@ let test_flip_noop_on_symmetric_pins () =
   Builder.set_position b c1 ~x:40.0 ~y:0.0;
   let d = Builder.finish b in
   let cx, cy = Dpp_wirelen.Pins.centers_of_design d in
-  let stats = Dpp_place.Flip.run d ~cx ~cy () in
+  let netbox = Dpp_wirelen.Netbox.build (Dpp_wirelen.Pins.build d) ~cx ~cy in
+  let stats = Dpp_place.Flip.run ~netbox () in
   Alcotest.(check int) "no flips" 0 stats.Dpp_place.Flip.flips;
   Alcotest.(check bool) "orientation unchanged" true
     (d.Design.orient.(c0) = Dpp_geom.Orient.N)

@@ -170,6 +170,75 @@ let test_flow_resume_after_legal () =
   Alcotest.(check bool) "hpwl_final bit-equal to the full run's" true
     (resumed.Flow.hpwl_final = full.Flow.hpwl_final)
 
+(* a spool file is outside input: restore names the field it rejects,
+   and installs nothing *)
+let test_restore_rejects_bad_spool () =
+  let d = flow_design () in
+  let n = Design.num_cells d in
+  let good = Snapshot.capture ~stage:"legal" (Dpp_core.Ctx.create d small_cfg) in
+  Snapshot.restore (Snapshot.decode (Snapshot.encode good)) (Dpp_core.Ctx.create d small_cfg);
+  let rejects name field (bad : Snapshot.t) =
+    let ctx = Dpp_core.Ctx.create d small_cfg in
+    match Snapshot.restore (Snapshot.decode (Snapshot.encode bad)) ctx with
+    | () -> Alcotest.failf "%s: restored" name
+    | exception Invalid_argument msg ->
+      if not (String.starts_with ~prefix:("Snapshot.restore: " ^ field ^ " ") msg) then
+        Alcotest.failf "%s: %S does not name %s" name msg field;
+      Alcotest.(check bool) (name ^ ": nothing installed") true (ctx.Dpp_core.Ctx.skip = [||])
+  in
+  rejects "truncated cy" "cy" { good with Snapshot.cy = Array.sub good.Snapshot.cy 0 (n - 1) };
+  rejects "renamed design" "design" { good with Snapshot.design = good.Snapshot.design ^ "_b" };
+  rejects "skip id out of range" "skip_ids" { good with Snapshot.skip_ids = [| 0; n |] };
+  rejects "negative flip-skip id" "flip_skip_ids" { good with Snapshot.flip_skip_ids = [| -1 |] };
+  rejects "failed id out of range" "failed" { good with Snapshot.failed = [ n + 3 ] };
+  rejects "short assignment" "assignment" { good with Snapshot.assignment = [| 0 |] }
+
+(* ----- placement digests -----
+
+   The hex digest of the .pl file of three small placements: the
+   structure-aware flow, multilevel GP and routability steering.  The
+   constants were recorded by running this test on the code before the
+   flow's place and structure layers moved onto the flat netlist view,
+   so a change of placement by any refactor shows here, in
+   [dune runtest].  A change that moves placement on purpose updates the
+   constants and says so in CHANGES.md. *)
+
+let short_gp cfg = { cfg with Config.gp_rounds = 10; gp_inner_iters = 30 }
+
+let pl_digest (d : Design.t) =
+  let dir = Filename.temp_file "dpp_digest" "" in
+  Sys.remove dir;
+  Unix.mkdir dir 0o755;
+  let base = Filename.concat dir "placed" in
+  Dpp_netlist.Bookshelf.write d ~basename:base;
+  let hex = Digest.to_hex (Digest.file (base ^ ".pl")) in
+  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+  Unix.rmdir dir;
+  hex
+
+let test_placement_digests () =
+  let preset name = Compose.build (Option.get (Dpp_gen.Presets.by_name name)) in
+  let cases =
+    [
+      ( "dp_add32 structure-aware",
+        preset "dp_add32",
+        short_gp Config.structure_aware,
+        "c729dd56e3dd24d7514849a897d0702c" );
+      ( "dp_mix_s multilevel",
+        preset "dp_mix_s",
+        short_gp { Config.structure_aware with Config.multilevel = Config.Ml_on },
+        "c1f407cbdbbd8752d0ba6d6edb00dffd" );
+      ( "rt_channel baseline routability",
+        Dpp_gen.Channel.build (),
+        short_gp { Config.baseline with Config.multilevel = Config.Ml_off; routability = true },
+        "c98f2a50eafc122dbf9c5af2407d22b4" );
+    ]
+  in
+  Alcotest.(check (list (pair string string)))
+    "placed .pl digests"
+    (List.map (fun (name, _, _, expected) -> name, expected) cases)
+    (List.map (fun (name, d, cfg, _) -> name, pl_digest (Flow.run d cfg).Flow.design) cases)
+
 let suite =
   [
     Alcotest.test_case "baseline legal" `Slow test_flow_baseline_legal;
@@ -184,4 +253,6 @@ let suite =
     Alcotest.test_case "no-group tie" `Slow test_flow_no_groups_ties_baseline;
     Alcotest.test_case "hpwls from stage trace" `Slow test_flow_hpwls_from_trace;
     Alcotest.test_case "resume after legal" `Slow test_flow_resume_after_legal;
+    Alcotest.test_case "restore rejects bad spool" `Quick test_restore_rejects_bad_spool;
+    Alcotest.test_case "placement digests" `Slow test_placement_digests;
   ]

@@ -112,7 +112,7 @@ let test_ram_block () =
   let d = Dpp_gen.Compose.build ram_spec in
   Alcotest.(check bool) "validates" true
     (Dpp_netlist.Validate.is_clean (Dpp_netlist.Validate.check d));
-  let macros = Dpp_structure.Dgroup.movable_macros d in
+  let macros = Dpp_structure.Dgroup.movable_macros (Dpp_netlist.Soa.of_design d) in
   Alcotest.(check int) "two movable macros" 2 (List.length macros);
   (* only the bit-sliced blocks carry ground truth *)
   Alcotest.(check int) "groups exclude rams" 2 (List.length d.Dpp_netlist.Design.groups)
@@ -134,9 +134,10 @@ let test_mixed_size_flow_legal () =
 
 let test_macro_dgroup_shape () =
   let d = Dpp_gen.Compose.build ram_spec in
-  match Dpp_structure.Dgroup.movable_macros d with
+  let soa = Dpp_netlist.Soa.of_design d in
+  match Dpp_structure.Dgroup.movable_macros soa with
   | i :: _ ->
-    let dg = Dpp_structure.Dgroup.of_movable_macro d i in
+    let dg = Dpp_structure.Dgroup.of_movable_macro soa i in
     let c = Design.cell d i in
     Alcotest.(check (float 1e-9)) "width" c.Types.c_width dg.Dpp_structure.Dgroup.width;
     Alcotest.(check (float 1e-9)) "height" c.Types.c_height dg.Dpp_structure.Dgroup.height;

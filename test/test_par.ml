@@ -327,14 +327,12 @@ let test_backend_stages_worker_count_independent () =
     let nc = Design.num_cells d in
     let cx = Array.init nc (fun i -> Design.cell_center_x d i) in
     let cy = Array.init nc (fun i -> Design.cell_center_y d i) in
+    let pins = Pins.build d in
     Pool.with_pool ~nworkers:w @@ fun pool ->
-    let legal = Dpp_place.Legal.run d ~pool ~cx ~cy () in
-    let nb = Netbox.build (Pins.build d) ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
-    ignore (Dpp_place.Detail.run d ~pool ~max_passes:2 ~netbox:nb ~legal ());
-    let stats =
-      Dpp_place.Flip.run d ~pool ~netbox:nb ~cx:legal.Dpp_place.Legal.cx
-        ~cy:legal.Dpp_place.Legal.cy ()
-    in
+    let legal = Dpp_place.Legal.run pins.Pins.soa ~pool ~cx ~cy () in
+    let nb = Netbox.build pins ~cx:legal.Dpp_place.Legal.cx ~cy:legal.Dpp_place.Legal.cy in
+    ignore (Dpp_place.Detail.run ~pool ~max_passes:2 ~netbox:nb ~legal ());
+    let stats = Dpp_place.Flip.run ~pool ~netbox:nb () in
     ( Array.copy legal.Dpp_place.Legal.assignment,
       Array.copy legal.Dpp_place.Legal.cx,
       Array.copy legal.Dpp_place.Legal.cy,

@@ -49,14 +49,14 @@ let test_qp_pulls_connected_cells_together () =
   ignore (Builder.add_net b [ ao; ci ]);
   ignore (Builder.add_net b [ co; p_right ]);
   let d = Builder.finish b in
-  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let r = Qp.run ~seed:1 (Soa.of_design d) in
   Alcotest.(check bool) "a left of c" true (r.Qp.cx.(a) < r.Qp.cx.(c));
   Alcotest.(check bool) "a in left-middle" true (r.Qp.cx.(a) > 10.0 && r.Qp.cx.(a) < 60.0);
   Alcotest.(check bool) "c in right-middle" true (r.Qp.cx.(c) > 40.0 && r.Qp.cx.(c) < 90.0)
 
 let test_qp_inside_die () =
   let d = place_design 71 in
-  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let r = Qp.run ~seed:1 (Soa.of_design d) in
   let die = d.Design.die in
   Array.iter
     (fun i ->
@@ -69,14 +69,14 @@ let test_qp_inside_die () =
 let test_qp_deterministic () =
   let d = place_design 72 in
   let soa = Soa.of_design d in
-  let a = Qp.run ~seed:5 ~soa d and b = Qp.run ~seed:5 ~soa d in
+  let a = Qp.run ~seed:5 soa and b = Qp.run ~seed:5 soa in
   Alcotest.(check bool) "same result" true (a.Qp.cx = b.Qp.cx && a.Qp.cy = b.Qp.cy)
 
 (* the two axes on two workers must reproduce the serial solve exactly *)
 let check_qp_pool_matches_serial d =
   let soa = Soa.of_design d in
-  let serial = Qp.run ~seed:3 ~soa d in
-  let par = Dpp_par.Pool.with_pool ~nworkers:2 (fun pool -> Qp.run ~seed:3 ~pool ~soa d) in
+  let serial = Qp.run ~seed:3 soa in
+  let par = Dpp_par.Pool.with_pool ~nworkers:2 (fun pool -> Qp.run ~seed:3 ~pool soa) in
   let bits a = Array.map Int64.bits_of_float a in
   Alcotest.(check (array int64)) "cx" (bits serial.Qp.cx) (bits par.Qp.cx);
   Alcotest.(check (array int64)) "cy" (bits serial.Qp.cy) (bits par.Qp.cy);
@@ -98,7 +98,7 @@ let test_qp_pool_xl10k () =
 let test_qp_reports_cap () =
   (* xl10k stops at the iteration cap on both axes; the result says so *)
   let d = Option.get (Dpp_gen.Xl.by_name ~seed:1 "xl10k") in
-  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let r = Qp.run ~seed:1 (Soa.of_design d) in
   Alcotest.(check (pair int int)) "at the cap" (Qp.max_iter, Qp.max_iter)
     (r.Qp.iterations_x, r.Qp.iterations_y);
   Alcotest.(check (pair bool bool)) "not converged" (false, false)
@@ -106,7 +106,7 @@ let test_qp_reports_cap () =
   Alcotest.(check bool) "residuals positive" true (r.Qp.residual_x > 0.0 && r.Qp.residual_y > 0.0);
   (* and a small design converges well inside it *)
   let d = place_design 74 in
-  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let r = Qp.run ~seed:1 (Soa.of_design d) in
   Alcotest.(check (pair bool bool)) "small design converges" (true, true)
     (r.Qp.converged_x, r.Qp.converged_y)
 
@@ -118,7 +118,7 @@ let test_qp_improves_hpwl () =
   let zero_x = Array.init nc (fun i -> Design.cell_center_x d i) in
   let zero_y = Array.init nc (fun i -> Design.cell_center_y d i) in
   let before = Hpwl.total pins ~cx:zero_x ~cy:zero_y in
-  let r = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let r = Qp.run ~seed:1 (Soa.of_design d) in
   let after = Hpwl.total pins ~cx:r.Qp.cx ~cy:r.Qp.cy in
   Alcotest.(check bool) "qp reduces wirelength vs piled-at-origin" true (after < before)
 
@@ -126,19 +126,22 @@ let test_qp_improves_hpwl () =
 
 let test_gp_reduces_overflow () =
   let d = place_design 74 in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let qp = Qp.run ~seed:1 (Soa.of_design d) in
   let grid = Dpp_density.Grid.build d ~nx:16 ~ny:16 in
   let before =
     Dpp_density.Overflow.total_overflow d grid ~target_density:0.9 ~cx:qp.Qp.cx ~cy:qp.Qp.cy
   in
-  let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins:(Pins.build d) d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "overflow reduced" true (gp.Gp.final_overflow < before);
   Alcotest.(check bool) "reaches target-ish" true (gp.Gp.final_overflow < 0.15)
 
 let test_gp_trace_monotone_overflow () =
   let d = place_design 75 in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let gp = Gp.run d { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let qp = Qp.run ~seed:1 (Soa.of_design d) in
+  let gp =
+    Gp.run ~pins:(Pins.build d) d { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx
+      ~cy:qp.Qp.cy
+  in
   Alcotest.(check bool) "trace nonempty" true (gp.Gp.trace <> []);
   (* overflow should broadly decrease over rounds *)
   let ovfs = List.map (fun (ri : Gp.round_info) -> ri.Gp.overflow) gp.Gp.trace in
@@ -156,10 +159,11 @@ let test_gp_rigid_groups_stay_arrays () =
         sp_utilization = 0.7;
       }
   in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let dgs = Dpp_structure.Dgroup.build_all d d.Design.groups in
+  let pins = Pins.build d in
+  let qp = Qp.run ~seed:1 pins.Pins.soa in
+  let dgs = Dpp_structure.Dgroup.build_all pins.Pins.soa d.Design.groups in
   let cfg = { Gp.default_config with Gp.rigid_groups = dgs } in
-  let gp = Gp.run d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   List.iter
     (fun dg ->
       Alcotest.(check (float 1e-6)) "rigid group is an exact array" 0.0
@@ -177,11 +181,13 @@ let test_gp_soft_groups_reduce_alignment_error () =
         sp_utilization = 0.7;
       }
   in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let dgs = Dpp_structure.Dgroup.build_all d d.Design.groups in
-  let base = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let pins = Pins.build d in
+  let qp = Qp.run ~seed:1 pins.Pins.soa in
+  let dgs = Dpp_structure.Dgroup.build_all pins.Pins.soa d.Design.groups in
+  let base = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let soft =
-    Gp.run d { Gp.default_config with Gp.groups = dgs; beta = 2.0 } ~cx:qp.Qp.cx ~cy:qp.Qp.cy
+    Gp.run ~pins d { Gp.default_config with Gp.groups = dgs; beta = 2.0 } ~cx:qp.Qp.cx
+      ~cy:qp.Qp.cy
   in
   let err r = Dpp_structure.Alignment.total_error dgs ~cx:r.Gp.cx ~cy:r.Gp.cy in
   Alcotest.(check bool) "soft alignment tightens groups" true (err soft < err base)
@@ -189,11 +195,17 @@ let test_gp_soft_groups_reduce_alignment_error () =
 (* ---------------- Legal + Abacus ---------------- *)
 
 let run_legalization d =
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
-  let legal = Legal.run d ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
-  Abacus.run d ~target_cx:gp.Gp.cx ~legal ();
+  let pins = Pins.build d in
+  let qp = Qp.run ~seed:1 pins.Pins.soa in
+  let gp = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let legal = Legal.run pins.Pins.soa ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
+  Abacus.run pins.Pins.soa ~target_cx:gp.Gp.cx ~legal ();
   gp, legal
+
+(* a fresh pin view and the netbox over [legal]'s live arrays — what the
+   flow's detail and flip stages share *)
+let netbox_over d (legal : Legal.t) =
+  Dpp_wirelen.Netbox.build (Pins.build d) ~cx:legal.Legal.cx ~cy:legal.Legal.cy
 
 let test_legalization_is_legal () =
   let d = place_design 78 in
@@ -207,14 +219,15 @@ let test_legalization_is_legal () =
 
 let test_legalization_respects_obstacles () =
   let d = place_design 79 in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let soa = Soa.of_design d in
+  let qp = Qp.run ~seed:1 soa in
   let die = d.Design.die in
   let ob =
     Rect.make ~xl:die.Rect.xl ~yl:die.Rect.yl
       ~xh:(die.Rect.xl +. (Rect.width die /. 3.0))
       ~yh:(die.Rect.yl +. 30.0)
   in
-  let legal = Legal.run d ~extra_obstacles:[ ob ] ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
+  let legal = Legal.run soa ~extra_obstacles:[ ob ] ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
   Array.iter
     (fun i ->
       if legal.Legal.assignment.(i) >= 0 then begin
@@ -229,9 +242,10 @@ let test_legalization_respects_obstacles () =
 
 let test_legalization_skip () =
   let d = place_design 80 in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
+  let soa = Soa.of_design d in
+  let qp = Qp.run ~seed:1 soa in
   let skip i = i < 5 in
-  let legal = Legal.run d ~skip ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
+  let legal = Legal.run soa ~skip ~cx:qp.Qp.cx ~cy:qp.Qp.cy () in
   for i = 0 to 4 do
     if not (Types.is_fixed_kind (Design.cell d i).Types.c_kind) then begin
       Alcotest.(check int) "skipped unassigned" (-1) legal.Legal.assignment.(i);
@@ -241,9 +255,10 @@ let test_legalization_skip () =
 
 let test_abacus_reduces_displacement () =
   let d = place_design 81 in
-  let qp = Qp.run ~seed:1 ~soa:(Soa.of_design d) d in
-  let gp = Gp.run d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
-  let legal1 = Legal.run d ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
+  let pins = Pins.build d in
+  let qp = Qp.run ~seed:1 pins.Pins.soa in
+  let gp = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let legal1 = Legal.run pins.Pins.soa ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   let disp l =
     Array.fold_left
       (fun acc i ->
@@ -252,7 +267,7 @@ let test_abacus_reduces_displacement () =
       0.0 (Design.movable_ids d)
   in
   let before = disp legal1 in
-  Abacus.run d ~target_cx:gp.Gp.cx ~legal:legal1 ();
+  Abacus.run pins.Pins.soa ~target_cx:gp.Gp.cx ~legal:legal1 ();
   let after = disp legal1 in
   Alcotest.(check bool) "abacus does not worsen displacement" true (after <= before +. 1e-6)
 
@@ -263,7 +278,7 @@ let test_detail_improves_and_stays_legal () =
   let gp, legal = run_legalization d in
   let pins = Pins.build d in
   let before = Hpwl.total pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  let stats = Detail.run d ~max_passes:3 ~legal () in
+  let stats = Detail.run ~max_passes:3 ~netbox:(netbox_over d legal) ~legal () in
   let after = Hpwl.total pins ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
   ignore gp;
   Alcotest.(check bool) "hpwl not worse" true (after <= before +. 1e-6);
@@ -279,7 +294,7 @@ let test_detail_skip_frozen () =
   let _, legal = run_legalization d in
   let frozen = Array.copy legal.Legal.cx in
   let skip i = i mod 7 = 0 in
-  ignore (Detail.run d ~max_passes:2 ~skip ~legal ());
+  ignore (Detail.run ~max_passes:2 ~skip ~netbox:(netbox_over d legal) ~legal ());
   Array.iter
     (fun i ->
       if skip i && legal.Legal.assignment.(i) >= 0 then
@@ -337,7 +352,7 @@ let test_flip_improves_and_preserves_legality () =
   let _, legal = run_legalization d in
   let pins_before = Pins.build d in
   let before = Hpwl.total pins_before ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
-  let stats = Dpp_place.Flip.run d ~cx:legal.Legal.cx ~cy:legal.Legal.cy () in
+  let stats = Dpp_place.Flip.run ~netbox:(netbox_over d legal) () in
   let pins_after = Pins.build d in
   let after = Hpwl.total pins_after ~cx:legal.Legal.cx ~cy:legal.Legal.cy in
   Alcotest.(check bool) "hpwl not worse" true (after <= before +. 1e-6);
@@ -350,7 +365,7 @@ let test_flip_improves_and_preserves_legality () =
 let test_flip_orientation_recorded () =
   let d = place_design 85 in
   let _, legal = run_legalization d in
-  let stats = Dpp_place.Flip.run d ~cx:legal.Legal.cx ~cy:legal.Legal.cy () in
+  let stats = Dpp_place.Flip.run ~netbox:(netbox_over d legal) () in
   let flipped =
     Array.fold_left
       (fun acc o -> if o = Dpp_geom.Orient.FN then acc + 1 else acc)
@@ -424,8 +439,8 @@ let test_swap_requires_exact_footprint () =
   let nc = Design.num_cells d in
   let cx = Array.init nc (fun i -> Design.cell_center_x d i) in
   let cy = Array.init nc (fun i -> Design.cell_center_y d i) in
-  let legal = Legal.run d ~cx ~cy () in
-  ignore (Detail.run d ~max_passes:2 ~legal ());
+  let legal = Legal.run (Soa.of_design d) ~cx ~cy () in
+  ignore (Detail.run ~max_passes:2 ~netbox:(netbox_over d legal) ~legal ());
   (* the move pass may relocate p and q legally; what the old quantized
      bucket did was *swap* their footprints, sliding the wider q into r *)
   ignore p;
@@ -453,10 +468,11 @@ let test_detail_skips_tall_cells () =
   (* hand the tall cell to Detail as a placed row-0 cell, the way a
      caller without the flow's macro handling would *)
   let legal = { Legal.assignment = Array.make nc 0; cx; cy; failed = [] } in
-  ignore (Detail.run d ~max_passes:2 ~legal ());
+  let netbox = netbox_over d legal in
+  ignore (Detail.run ~max_passes:2 ~netbox ~legal ());
   Alcotest.(check (float 1e-12)) "tall cell x untouched" 2.0 legal.Legal.cx.(t);
   Alcotest.(check (float 1e-12)) "tall cell y untouched" 10.0 legal.Legal.cy.(t);
-  let stats = Dpp_place.Flip.run d ~cx:legal.Legal.cx ~cy:legal.Legal.cy () in
+  let stats = Dpp_place.Flip.run ~netbox () in
   Alcotest.(check int) "flip skips tall cells too" 0 stats.Dpp_place.Flip.flips
 
 (* The old list-based split matched intervals by float equality of the
@@ -502,7 +518,7 @@ let test_row_segments_multirow_macro () =
   Builder.set_position b m ~x:10.0 ~y:0.0;
   let d = Builder.finish b in
   let obstacles = [ Design.cell_rect d m ] in
-  let segs r = Legal.row_segments_for_test d obstacles r in
+  let segs r = Legal.row_segments (Soa.of_design d) obstacles r in
   Alcotest.(check bool) "row 0 split" true (segs 0 = [ 0.0, 10.0; 20.0, 40.0 ]);
   Alcotest.(check bool) "row 1 split" true (segs 1 = [ 0.0, 10.0; 20.0, 40.0 ]);
   Alcotest.(check bool) "row 2 whole" true (segs 2 = [ 0.0, 40.0 ])

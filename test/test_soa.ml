@@ -64,6 +64,77 @@ let prop_roundtrip_random =
       let s = Soa.of_design d in
       Soa.to_design s = d && adjacency_is_naive_dedup s)
 
+(* ----- the Soa geometry helpers against their Design versions ----- *)
+
+(* A random design on an off-origin die with every orientation and every
+   cell kind, placed anywhere: fixed cells and pads overhang the die or
+   sit wholly outside it. *)
+let mixed_design seed =
+  let module Rect = Dpp_geom.Rect in
+  let module Rng = Dpp_util.Rng in
+  let rng = Rng.create seed in
+  let rh = Rng.float_in rng 4.0 12.0 and rows = 1 + Rng.int rng 8 in
+  let xl = Rng.float_in rng (-50.0) 50.0 and yl = Rng.float_in rng (-50.0) 50.0 in
+  let die =
+    Rect.make ~xl ~yl ~xh:(xl +. Rng.float_in rng 20.0 120.0) ~yh:(yl +. (float_of_int rows *. rh))
+  in
+  let b = Dpp_netlist.Builder.create ~die ~row_height:rh ~site_width:0.5 () in
+  for k = 0 to 4 + Rng.int rng 40 do
+    let kind =
+      match Rng.int rng 3 with 0 -> Types.Fixed | 1 -> Types.Pad | _ -> Types.Movable
+    in
+    let w = Rng.float_in rng 0.5 30.0 and h = Rng.float_in rng 0.5 (3.0 *. rh) in
+    let id =
+      Dpp_netlist.Builder.add_cell b ~name:(Printf.sprintf "c%d" k) ~master:"M" ~w ~h ~kind
+    in
+    Dpp_netlist.Builder.set_position b id
+      ~x:(Rng.float_in rng (die.Rect.xl -. 40.0) (die.Rect.xh +. 10.0))
+      ~y:(Rng.float_in rng (die.Rect.yl -. 40.0) (die.Rect.yh +. 10.0));
+    Dpp_netlist.Builder.set_orient b id (Rng.choose rng (Array.of_list Dpp_geom.Orient.all))
+  done;
+  Dpp_netlist.Builder.finish b
+
+(* the fixed-obstacle list as group snapping built it from the records *)
+let design_fixed_obstacles (d : Design.t) =
+  Array.to_list (Design.fixed_ids d)
+  |> List.filter_map (fun i ->
+         match (Design.cell d i).Types.c_kind with
+         | Types.Fixed -> Dpp_geom.Rect.intersection (Design.cell_rect d i) d.Design.die
+         | Types.Pad | Types.Movable -> None)
+
+let prop_helpers_match_design =
+  QCheck.Test.make ~name:"soa geometry helpers bit-equal to Design" ~count:200 QCheck.small_int
+    (fun seed ->
+      let module Rect = Dpp_geom.Rect in
+      let d = mixed_design seed in
+      let s = Soa.of_design d in
+      let bits = Int64.bits_of_float in
+      let rect_bits (r : Rect.t) = List.map bits [ r.Rect.xl; r.Rect.yl; r.Rect.xh; r.Rect.yh ] in
+      let nc = Design.num_cells d and nr = d.Design.num_rows in
+      let die = d.Design.die in
+      (* row edges, a hair either side of each, and far outside the die *)
+      let ys =
+        List.concat_map
+          (fun r ->
+            let y = Design.row_y d r in
+            [ y; y -. 1e-9; y +. 1e-9 ])
+          (List.init (nr + 1) Fun.id)
+        @ [ die.Rect.yl -. 1000.0; die.Rect.yh +. 1000.0; Rect.center_y die ]
+      in
+      Soa.movable_ids s = Design.movable_ids d
+      && Soa.fixed_ids s = Design.fixed_ids d
+      && List.for_all
+           (fun i ->
+             bits (Soa.cell_center_x s i) = bits (Design.cell_center_x d i)
+             && bits (Soa.cell_center_y s i) = bits (Design.cell_center_y d i))
+           (List.init nc Fun.id)
+      && List.for_all
+           (fun r -> bits (Soa.row_y s r) = bits (Design.row_y d r))
+           (List.init (nr + 3) (fun r -> r - 1))
+      && List.for_all (fun y -> Soa.row_of_y s y = Design.row_of_y d y) ys
+      && List.map rect_bits (Soa.fixed_obstacles s)
+         = List.map rect_bits (design_fixed_obstacles d))
+
 let test_roundtrip_shares_nothing () =
   let d = Tutil.random_design 11 in
   let s = Soa.of_design d in
@@ -284,6 +355,7 @@ let suite =
       test_roundtrip_presets;
     Alcotest.test_case "int32 csr overflow guard" `Quick test_int32_overflow_guard;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
+    QCheck_alcotest.to_alcotest prop_helpers_match_design;
     Alcotest.test_case "round trip shares no mutable state" `Quick
       test_roundtrip_shares_nothing;
     Alcotest.test_case "x/y aliasing contract" `Quick test_aliasing_contract;

@@ -10,6 +10,7 @@ module Dgroup = Dpp_structure.Dgroup
 module Alignment = Dpp_structure.Alignment
 module Shaping = Dpp_structure.Shaping
 module Pins = Dpp_wirelen.Pins
+module Soa = Dpp_netlist.Soa
 module Compose = Dpp_gen.Compose
 
 (* A design holding a labelled 4x3 array of uniform cells plus spares. *)
@@ -46,7 +47,7 @@ let the_group d = List.hd d.Design.groups
 
 let test_dgroup_build () =
   let d = array_design () in
-  let dg = Dgroup.build ~fold:1 d (the_group d) in
+  let dg = Dgroup.build ~fold:1 (Soa.of_design d) (the_group d) in
   Alcotest.(check int) "members" 12 (Array.length dg.Dgroup.cells);
   Alcotest.(check (float 1e-9)) "height" 40.0 dg.Dgroup.height;
   Alcotest.(check (float 1e-9)) "width (3 packed columns)" 12.0 dg.Dgroup.width;
@@ -62,14 +63,14 @@ let test_dgroup_build () =
 
 let test_dgroup_fold () =
   let d = array_design () in
-  let dg1 = Dgroup.build ~fold:1 d (the_group d) in
-  let dg2 = Dgroup.build ~fold:2 d (the_group d) in
+  let dg1 = Dgroup.build ~fold:1 (Soa.of_design d) (the_group d) in
+  let dg2 = Dgroup.build ~fold:2 (Soa.of_design d) (the_group d) in
   Alcotest.(check (float 1e-9)) "folded height halves" (dg1.Dgroup.height /. 2.0) dg2.Dgroup.height;
   Alcotest.(check bool) "folded width grows" true (dg2.Dgroup.width > dg1.Dgroup.width)
 
 let test_dgroup_alignment_error_zero_at_array () =
   let d = array_design () in
-  let dg = Dgroup.build ~fold:1 d (the_group d) in
+  let dg = Dgroup.build ~fold:1 (Soa.of_design d) (the_group d) in
   let nc = Design.num_cells d in
   let cx = Array.make nc 0.0 and cy = Array.make nc 0.0 in
   (* place members exactly on the idealized array at origin (50, 20) *)
@@ -87,13 +88,13 @@ let test_dgroup_internal_coupling () =
   let d = array_design () in
   (* all nets in this toy design are internal to the group *)
   Alcotest.(check (float 1e-9)) "fully internal" 1.0 
-    (List.hd (Dgroup.regularity d [ the_group d ])).Dgroup.coupling
+    (List.hd (Dgroup.regularity (Soa.of_design d) [ the_group d ])).Dgroup.coupling
 
 let test_dgroup_slice_span () =
   let d = array_design () in
   (* all nets are slice-local: span 0 *)
   Alcotest.(check (float 1e-9)) "slice-local" 0.0 
-    (List.hd (Dgroup.regularity d [ the_group d ])).Dgroup.slice_span
+    (List.hd (Dgroup.regularity (Soa.of_design d) [ the_group d ])).Dgroup.slice_span
 
 (* The per-group definitions, one scan of every net per group: the
    oracle for the one-pass batch. *)
@@ -140,7 +141,7 @@ let regularity_matches_oracle d groups =
     (fun g (r : Dgroup.regularity) ->
       Int64.bits_of_float r.Dgroup.coupling = Int64.bits_of_float (oracle_coupling d g)
       && Int64.bits_of_float r.Dgroup.slice_span = Int64.bits_of_float (oracle_slice_span d g))
-    groups (Dgroup.regularity d groups)
+    groups (Dgroup.regularity (Soa.of_design d) groups)
 
 let test_regularity_ground_truth () =
   let d = Compose.build (Option.get (Dpp_gen.Presets.by_name "dp_mix_s")) in
@@ -168,7 +169,7 @@ let prop_regularity_random =
 
 let test_alignment_zero_and_positive () =
   let d = array_design () in
-  let dg = Dgroup.build ~fold:1 d (the_group d) in
+  let dg = Dgroup.build ~fold:1 (Soa.of_design d) (the_group d) in
   let nc = Design.num_cells d in
   let cx = Array.make nc 0.0 and cy = Array.make nc 0.0 in
   Array.iteri
@@ -183,7 +184,7 @@ let test_alignment_zero_and_positive () =
 
 let test_alignment_translation_invariant () =
   let d = array_design () in
-  let dg = Dgroup.build d (the_group d) in
+  let dg = Dgroup.build (Soa.of_design d) (the_group d) in
   let cx, cy = Pins.centers_of_design d in
   let v1 = Alignment.value [ dg ] ~cx ~cy in
   let cx' = Array.map (fun x -> x +. 31.0) cx in
@@ -192,7 +193,7 @@ let test_alignment_translation_invariant () =
 
 let test_alignment_gradient_fd () =
   let d = array_design () in
-  let dg = Dgroup.build d (the_group d) in
+  let dg = Dgroup.build (Soa.of_design d) (the_group d) in
   let err =
     Tutil.gradient_error d ~value_grad:(fun ~cx ~cy ~gx ~gy ->
         Alignment.value_grad [ dg ] ~cx ~cy ~gx ~gy)
@@ -213,9 +214,10 @@ let realistic_design () =
 
 let test_snap_geometry () =
   let d = realistic_design () in
-  let dgs = Dgroup.build_all d d.Design.groups in
+  let pins = Pins.build d in
+  let dgs = Dgroup.build_all pins.Pins.soa d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap ~pins:(Pins.build d) d dgs ~cx ~cy in
+  let placed = Shaping.snap ~pins dgs ~cx ~cy in
   Alcotest.(check int) "all groups snapped" (List.length dgs) (List.length placed);
   (* footprints: inside the die, on grid, mutually disjoint *)
   List.iter
@@ -239,9 +241,10 @@ let test_snap_geometry () =
 
 let test_snap_apply () =
   let d = realistic_design () in
-  let dgs = Dgroup.build_all d d.Design.groups in
+  let pins = Pins.build d in
+  let dgs = Dgroup.build_all pins.Pins.soa d.Design.groups in
   let cx, cy = Pins.centers_of_design d in
-  let placed = Shaping.snap ~pins:(Pins.build d) d dgs ~cx ~cy in
+  let placed = Shaping.snap ~pins dgs ~cx ~cy in
   List.iter (fun p -> Shaping.apply p ~cx ~cy) placed;
   (* after apply the alignment error of every snapped group is zero *)
   List.iter
@@ -252,10 +255,10 @@ let test_snap_apply () =
 
 let test_snap_oversized_left_soft () =
   let d = realistic_design () in
-  let dgs = Dgroup.build_all d d.Design.groups in
-  let cx, cy = Pins.centers_of_design d in
   let pins = Pins.build d in
-  let placed = Shaping.snap ~max_die_fraction:0.0001 ~pins d dgs ~cx ~cy in
+  let dgs = Dgroup.build_all pins.Pins.soa d.Design.groups in
+  let cx, cy = Pins.centers_of_design d in
+  let placed = Shaping.snap ~max_die_fraction:0.0001 ~pins dgs ~cx ~cy in
   Alcotest.(check int) "nothing snapped under a tiny cap" 0 (List.length placed)
 
 let suite =
