@@ -34,8 +34,9 @@ let micro_tests () =
   let cx, cy = Dpp_wirelen.Pins.centers_of_design d in
   let n = Dpp_netlist.Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  let grid = Dpp_density.Grid.build d ~nx:24 ~ny:24 in
-  let bell = Dpp_density.Bell.create d ~grid ~target_density:0.9 in
+  let soa = pins.Dpp_wirelen.Pins.soa in
+  let grid = Dpp_density.Grid.of_soa soa ~nx:24 ~ny:24 in
+  let bell = Dpp_density.Bell.of_soa soa ~grid ~target_density:0.9 in
   let lse =
     Test.make ~name:"lse-value-grad" (Staged.stage (fun () ->
         Array.fill gx 0 n 0.0;
@@ -219,9 +220,9 @@ let run_par_bench () =
   let n = Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
   let gx' = Array.make n 0.0 and gy' = Array.make n 0.0 in
-  let nx, ny = Grid.default_dims d in
-  let grid = Grid.build d ~nx ~ny in
-  let bell = Bell.create d ~grid ~target_density:0.9 in
+  let nx, ny = Grid.dims_of_soa pins.Pins.soa in
+  let grid = Grid.of_soa pins.Pins.soa ~nx ~ny in
+  let bell = Bell.of_soa pins.Pins.soa ~grid ~target_density:0.9 in
   (* equivalence gate: pooled gradients at 4 domains vs the serial kernels *)
   Pool.with_pool ~nworkers:4 (fun pool ->
       let pg = Par_grad.create pool pins in
@@ -272,7 +273,7 @@ let run_par_bench () =
               ignore (Par_grad.value_grad pg pool Model.Lse ~gamma:5.0 ~cx ~cy ~gx ~gy))
         in
         let bellr = rate (fun () -> ignore (Bell.par_value_grad bp pool ~cx ~cy ~gx ~gy)) in
-        let rudy = rate (fun () -> ignore (Rudy.compute ~pool d ~cx ~cy)) in
+        let rudy = rate (fun () -> ignore (Rudy.of_pins ~pool pins ~cx ~cy)) in
         let audit = rate (fun () -> ignore (Netbox.audit ~pool nb)) in
         (* whether the gradient kernel's chunk loop ran inline (auto-serial
            fallback: one effective core, one worker, or tiny work) rather
@@ -804,9 +805,9 @@ let run_xl_bench () =
         let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
         let gx' = Array.make n 0.0 and gy' = Array.make n 0.0 in
         let rp = R.Rpins.build d in
-        let nx, ny = Grid.default_dims d in
-        let grid = Grid.build d ~nx ~ny in
-        let bell = Bell.create ~soa:pins.Pins.soa d ~grid ~target_density:0.9 in
+        let nx, ny = Grid.dims_of_soa pins.Pins.soa in
+        let grid = Grid.of_soa pins.Pins.soa ~nx ~ny in
+        let bell = Bell.of_soa pins.Pins.soa ~grid ~target_density:0.9 in
         let rbell = R.Rbell.create d ~grid ~target_density:0.9 in
         (* --- gate 1: SoA kernels bit-identical to the record path --- *)
         gate
@@ -836,7 +837,7 @@ let run_xl_bench () =
           (grad_pair
              (fun ~gx ~gy -> Bell.value_grad bell ~cx ~cy ~gx ~gy)
              (fun ~gx ~gy -> R.Rbell.value_grad rbell ~cx ~cy ~gx ~gy));
-        let rd = Rudy.compute ~pins ~nx ~ny d ~cx ~cy in
+        let rd = Rudy.of_pins ~nx ~ny pins ~cx ~cy in
         let rr = R.rudy rp ~nx ~ny ~cx ~cy in
         gate (name ^ ": rudy demand map") (eq_arr rd.Rudy.demand rr);
         let nb = Netbox.build pins ~cx ~cy in
@@ -865,7 +866,7 @@ let run_xl_bench () =
           Array.fill gx' 0 n 0.0;
           Array.fill gy' 0 n 0.0;
           let bv = Bell.par_value_grad bp pool ~cx ~cy ~gx:gx' ~gy:gy' in
-          let rdp = Rudy.compute ~pool ~pins ~nx ~ny d ~cx ~cy in
+          let rdp = Rudy.of_pins ~pool ~nx ~ny pins ~cx ~cy in
           let nbp = Netbox.build ~pool pins ~cx ~cy in
           v, Array.copy gx, Array.copy gy, bv, Array.copy gx', Array.copy gy',
           rdp.Rudy.demand, Netbox.total nbp
@@ -903,7 +904,7 @@ let run_xl_bench () =
               (fun () -> clear (); ignore (Bell.value_grad bell ~cx ~cy ~gx ~gy)),
               fun () -> clear (); ignore (R.Rbell.value_grad rbell ~cx ~cy ~gx ~gy) );
             ( "rudy",
-              (fun () -> ignore (Rudy.compute ~pins ~nx ~ny d ~cx ~cy)),
+              (fun () -> ignore (Rudy.of_pins ~nx ~ny pins ~cx ~cy)),
               fun () -> ignore (R.rudy rp ~nx ~ny ~cx ~cy) );
             (* netbox is gated above but not timed here: Netbox.build
                constructs the whole incremental cache, which has no

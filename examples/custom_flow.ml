@@ -53,7 +53,7 @@ let () =
     }
   in
   let gp =
-    Dpp_place.Gp.run ~pins d gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy
+    Dpp_place.Gp.run ~pins gp_cfg ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy
       ~on_round:(fun ri ->
         Format.printf "  round %2d: hpwl %.0f overflow %.3f align %.2f@." ri.Dpp_place.Gp.round
           ri.Dpp_place.Gp.hpwl ri.Dpp_place.Gp.overflow ri.Dpp_place.Gp.align_error)

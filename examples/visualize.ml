@@ -34,7 +34,7 @@ let () =
   Format.printf "side-by-side comparison: %s@." cmp;
   (* congestion underlay on the baseline *)
   let cx, cy = Pins.centers_of_design base_d in
-  let rudy = Dpp_congest.Rudy.compute base_d ~cx ~cy in
+  let rudy = Dpp_congest.Rudy.of_pins (Pins.build base_d) ~cx ~cy in
   let st = Dpp_congest.Rudy.stats rudy in
   Format.printf "baseline congestion: max %.2f p95 %.2f (%.1f%% bins over)@."
     st.Dpp_congest.Rudy.max_ratio st.Dpp_congest.Rudy.p95_ratio

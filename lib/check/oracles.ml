@@ -218,9 +218,9 @@ let gradient ?pool ?(samples = 12) ?(eps = 1e-5) ?(tol = 1e-3) ~seed ~model ~gam
 module Rudy = Dpp_congest.Rudy
 module Gp = Dpp_place.Gp
 
-let congestion ?pool ?pins ?(tol = 1e-9) d ~(stats : Rudy.stats) ~cx ~cy =
+let congestion ?pool ?(tol = 1e-9) pins ~(stats : Rudy.stats) ~cx ~cy =
   let oracle = "congestion" in
-  let r = Rudy.compute ?pool ?pins d ~cx ~cy in
+  let r = Rudy.of_pins ?pool pins ~cx ~cy in
   let s = Rudy.stats r in
   let acc = ref [] in
   let check subject fresh stored =
@@ -388,17 +388,113 @@ let bookshelf_roundtrip d =
 
 (* ----- multilevel cluster integrity ----- *)
 
+module Soa = Dpp_netlist.Soa
+module I32 = Dpp_util.Compact.I32
+module I8 = Dpp_util.Compact.I8
+
+(* The coarse netlist is assembled straight into a flat view, with no
+   record validation on the way, so the oracle audits it here: well-formed
+   CSR in both directions, net_cell and cell_net mutual transposes, every
+   coarse net spanning two clusters, and the exact net set and merged
+   weights recomputed from the fine nets and the cluster map. *)
+let coarse_nets ~tol (lvl : Dpp_coarsen.level) =
+  let c = lvl.Dpp_coarsen.coarse and fine = lvl.Dpp_coarsen.fine in
+  let k = Soa.num_cells c and nn = Soa.num_nets c and np = Soa.num_pins c in
+  let acc = ref [] in
+  let add subject fmt =
+    Printf.ksprintf
+      (fun detail -> acc := Violation.v ~oracle:"clusters" ~subject "%s" detail :: !acc)
+      fmt
+  in
+  let level = Printf.sprintf "level %s" c.Soa.name in
+  (* the first [len] ids of [a] lie in [0, bound) *)
+  let in_range what a ~len ~bound =
+    let bad = ref 0 in
+    for p = 0 to len - 1 do
+      let v = I32.get a p in
+      if v < 0 || v >= bound then incr bad
+    done;
+    if !bad > 0 then add level "%s holds %d ids outside [0, %d)" what !bad bound;
+    !bad = 0
+  in
+  (* offsets start at 0, never decrease and stay inside the payload, whose
+     used prefix holds ids below [bound] *)
+  let csr what off n payload ~bound =
+    let ok = ref (I32.length off = n + 1 && I32.get off 0 = 0) in
+    for i = 0 to n - 1 do
+      if !ok && I32.get off (i + 1) < I32.get off i then ok := false
+    done;
+    if !ok && I32.get off n > I32.length payload then ok := false;
+    if not !ok then add level "%s offsets are not monotone within their payload" what;
+    !ok && in_range what payload ~len:(I32.get off n) ~bound
+  in
+  let (_ : bool) = in_range "pin_cell" c.Soa.pin_cell ~len:np ~bound:k in
+  let (_ : bool) = in_range "pin_net" c.Soa.pin_net ~len:np ~bound:nn in
+  let cell_pin_ok = csr "cell_pin" c.Soa.cell_pin_off k c.Soa.cell_pin ~bound:np in
+  let net_pin_ok = csr "net_pin" c.Soa.net_pin_off nn c.Soa.net_pin ~bound:np in
+  let net_cell_ok = csr "net_cell" c.Soa.net_cell_off nn c.Soa.net_cell ~bound:k in
+  let cell_net_ok = csr "cell_net" c.Soa.cell_net_off k c.Soa.cell_net ~bound:nn in
+  (* the net checks below index through the CSR, not the per-pin arrays *)
+  if cell_pin_ok && net_pin_ok && net_cell_ok && cell_net_ok then begin
+    (* transposing net_cell (nets ascending) must reproduce cell_net *)
+    let cursor = Array.init k (I32.get c.Soa.cell_net_off) in
+    let agree = ref true in
+    for n = 0 to nn - 1 do
+      Soa.iter_cells_of_net c n (fun cell ->
+          let p = cursor.(cell) in
+          if p >= I32.get c.Soa.cell_net_off (cell + 1) || I32.get c.Soa.cell_net p <> n then
+            agree := false
+          else cursor.(cell) <- p + 1)
+    done;
+    Array.iteri
+      (fun cell p -> if p <> I32.get c.Soa.cell_net_off (cell + 1) then agree := false)
+      cursor;
+    if not !agree then add level "net_cell and cell_net are not transposes of each other";
+    (* the cluster sets of the fine nets, with their summed weights *)
+    let expected = Hashtbl.create nn in
+    for n = 0 to Soa.num_nets fine - 1 do
+      let cs = ref [] in
+      Soa.iter_cells_of_net fine n (fun i -> cs := lvl.Dpp_coarsen.cluster_of.(i) :: !cs);
+      match List.sort_uniq compare !cs with
+      | [] | [ _ ] -> ()
+      | key ->
+        let w = Option.value (Hashtbl.find_opt expected key) ~default:0.0 in
+        Hashtbl.replace expected key (w +. fine.Soa.net_weight.(n))
+    done;
+    for n = 0 to nn - 1 do
+      let subject = Printf.sprintf "coarse net %d" n in
+      let deg = Soa.net_cell_degree c n in
+      if deg < 2 then add subject "touches %d distinct cluster(s)" deg
+      else begin
+        let key = Array.to_list (Soa.cells_of_net c n) in
+        match Hashtbl.find_opt expected key with
+        | None -> add subject "joins a cluster set no fine net (or another coarse net) maps to"
+        | Some w ->
+          Hashtbl.remove expected key;
+          let got = c.Soa.net_weight.(n) in
+          if abs_float (got -. w) > tol *. (1.0 +. abs_float w) then
+            add subject "weight %.9g, but its fine nets sum to %.9g" got w
+      end
+    done;
+    if Hashtbl.length expected > 0 then
+      add level "%d cluster sets of fine nets have no coarse net" (Hashtbl.length expected)
+  end;
+  List.rev !acc
+
 let cluster_integrity ?(tol = 1e-6) (lvl : Dpp_coarsen.level) =
   let oracle = "clusters" in
   let fine = lvl.Dpp_coarsen.fine and coarse = lvl.Dpp_coarsen.coarse in
-  let nf = Design.num_cells fine and k = Design.num_cells coarse in
+  let nf = Soa.num_cells fine and k = Soa.num_cells coarse in
   let acc = ref [] in
   let add subject fmt =
     Printf.ksprintf
       (fun detail -> acc := Violation.v ~oracle ~subject "%s" detail :: !acc)
       fmt
   in
-  let level_subject = Printf.sprintf "level %s" coarse.Design.name in
+  let level_subject = Printf.sprintf "level %s" coarse.Soa.name in
+  let fine_subject i = Printf.sprintf "cell %s" fine.Soa.cell_name.(i) in
+  let cluster_subject cid = Printf.sprintf "cluster %d" cid in
+  let cell_area (s : Soa.t) i = s.Soa.width.(i) *. s.Soa.height.(i) in
   if Array.length lvl.Dpp_coarsen.cluster_of <> nf then
     add level_subject "cluster map covers %d of %d fine cells"
       (Array.length lvl.Dpp_coarsen.cluster_of) nf
@@ -416,18 +512,12 @@ let cluster_integrity ?(tol = 1e-6) (lvl : Dpp_coarsen.level) =
             else begin
               seen.(i) <- seen.(i) + 1;
               if lvl.Dpp_coarsen.cluster_of.(i) <> cid then
-                add
-                  (Printf.sprintf "cell %s" (cell_name fine i))
-                  "listed in cluster %d but mapped to %d" cid
+                add (fine_subject i) "listed in cluster %d but mapped to %d" cid
                   lvl.Dpp_coarsen.cluster_of.(i)
             end)
           ms)
       lvl.Dpp_coarsen.members;
-    Array.iteri
-      (fun i n ->
-        if n <> 1 then
-          add (Printf.sprintf "cell %s" (cell_name fine i)) "appears in %d clusters" n)
-      seen;
+    Array.iteri (fun i n -> if n <> 1 then add (fine_subject i) "appears in %d clusters" n) seen;
     (* kinds and areas: movables cluster into movables with conserved
        area (group clusters own their idealized array footprint, which
        includes spacing, so member area may only fall below it);
@@ -436,55 +526,41 @@ let cluster_integrity ?(tol = 1e-6) (lvl : Dpp_coarsen.level) =
     List.iter (fun (cid, _) -> is_group.(cid) <- true) lvl.Dpp_coarsen.group_of;
     for cid = 0 to k - 1 do
       let ms = lvl.Dpp_coarsen.members.(cid) in
-      let c = Design.cell coarse cid in
-      let subject = Printf.sprintf "cluster %s" c.Types.c_name in
+      let subject = cluster_subject cid in
       if Array.length ms = 0 then add subject "is empty"
+      else if not (Soa.is_fixed coarse cid) then begin
+        if Array.exists (Soa.is_fixed fine) ms then
+          add subject "mixes fixed cells into a movable cluster";
+        let member_area = Array.fold_left (fun a i -> a +. cell_area fine i) 0.0 ms in
+        let coarse_area = cell_area coarse cid in
+        let rel = tol *. (1.0 +. coarse_area) in
+        if is_group.(cid) then begin
+          if member_area > coarse_area +. rel then
+            add subject "member area %.6g exceeds group footprint %.6g" member_area coarse_area
+        end
+        else if abs_float (member_area -. coarse_area) > rel then
+          add subject "area %.6g became %.6g" member_area coarse_area
+      end
+      else if Array.length ms <> 1 then
+        add subject "fixed cluster has %d members" (Array.length ms)
       else begin
-        let movable_members =
-          Array.for_all
-            (fun i -> (Design.cell fine i).Types.c_kind = Types.Movable)
-            ms
-        in
-        if c.Types.c_kind = Types.Movable then begin
-          if not movable_members then add subject "mixes fixed cells into a movable cluster";
-          let member_area =
-            Array.fold_left
-              (fun a i ->
-                let fc = Design.cell fine i in
-                a +. (fc.Types.c_width *. fc.Types.c_height))
-              0.0 ms
-          in
-          let coarse_area = c.Types.c_width *. c.Types.c_height in
-          let rel = tol *. (1.0 +. coarse_area) in
-          if is_group.(cid) then begin
-            if member_area > coarse_area +. rel then
-              add subject "member area %.6g exceeds group footprint %.6g" member_area
-                coarse_area
-          end
-          else if abs_float (member_area -. coarse_area) > rel then
-            add subject "area %.6g became %.6g" member_area coarse_area
-        end
-        else if Array.length ms <> 1 then
-          add subject "fixed cluster has %d members" (Array.length ms)
-        else begin
-          let i = ms.(0) in
-          let fc = Design.cell fine i in
-          if fc.Types.c_kind <> c.Types.c_kind then
-            add subject "kind changed for fixed cell %s" fc.Types.c_name;
-          if
-            abs_float (fc.Types.c_width -. c.Types.c_width) > tol
-            || abs_float (fc.Types.c_height -. c.Types.c_height) > tol
-            || abs_float (fine.Design.x.(i) -. coarse.Design.x.(cid)) > tol
-            || abs_float (fine.Design.y.(i) -. coarse.Design.y.(cid)) > tol
-          then add subject "fixed cell %s not preserved verbatim" fc.Types.c_name
-        end
+        let i = ms.(0) in
+        let name = fine.Soa.cell_name.(i) in
+        if I8.get fine.Soa.kind i <> I8.get coarse.Soa.kind cid then
+          add subject "kind changed for fixed cell %s" name;
+        if
+          abs_float (fine.Soa.width.(i) -. coarse.Soa.width.(cid)) > tol
+          || abs_float (fine.Soa.height.(i) -. coarse.Soa.height.(cid)) > tol
+          || abs_float (fine.Soa.x.(i) -. coarse.Soa.x.(cid)) > tol
+          || abs_float (fine.Soa.y.(i) -. coarse.Soa.y.(cid)) > tol
+        then add subject "fixed cell %s not preserved verbatim" name
       end
     done;
     (* dgroups intact: each collapsed group's cluster holds exactly the
        group's members — a bit-slice is never split across clusters *)
     List.iter
       (fun (cid, (dg : Dgroup.t)) ->
-        let subject = Printf.sprintf "cluster %s" (Design.cell coarse cid).Types.c_name in
+        let subject = cluster_subject cid in
         if cid < 0 || cid >= k then add level_subject "group cluster id %d out of range" cid
         else begin
           let ms = lvl.Dpp_coarsen.members.(cid) in
@@ -498,10 +574,11 @@ let cluster_integrity ?(tol = 1e-6) (lvl : Dpp_coarsen.level) =
             Array.iter
               (fun i ->
                 if lvl.Dpp_coarsen.cluster_of.(i) <> cid then
-                  add subject "group member %s escaped to cluster %d" (cell_name fine i)
+                  add subject "group member %s escaped to cluster %d" fine.Soa.cell_name.(i)
                     lvl.Dpp_coarsen.cluster_of.(i))
               dg.Dgroup.cells
         end)
-      lvl.Dpp_coarsen.group_of
+      lvl.Dpp_coarsen.group_of;
+    acc := List.rev_append (coarse_nets ~tol lvl) !acc
   end;
   List.rev !acc

@@ -84,9 +84,8 @@ val gradient :
 
 val congestion :
   ?pool:Dpp_par.Pool.t ->
-  ?pins:Dpp_wirelen.Pins.t ->
   ?tol:float ->
-  Dpp_netlist.Design.t ->
+  Dpp_wirelen.Pins.t ->
   stats:Dpp_congest.Rudy.stats ->
   cx:float array ->
   cy:float array ->
@@ -130,4 +129,12 @@ val cluster_integrity : ?tol:float -> Dpp_coarsen.level -> Violation.t list
     cells and pads survive as verbatim singletons (kind, shape,
     position); and every collapsed datapath group's cluster holds
     exactly the group's member set — no {!Dpp_structure.Dgroup} is ever
-    split across clusters. *)
+    split across clusters.
+
+    The coarse netlist itself is audited too, since it is assembled
+    straight into a flat view: CSR offsets are monotone and every id
+    ([pin_cell], [pin_net] and the CSR payloads) is in range; [net_cell]
+    and [cell_net] are transposes of each other; every coarse net touches
+    at least two distinct clusters; and the coarse nets are exactly the
+    distinct cluster sets of the fine nets, each weighing the sum of the
+    fine-net weights that map to it (relative tolerance [tol]). *)

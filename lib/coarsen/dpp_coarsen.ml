@@ -1,8 +1,10 @@
 module Rng = Dpp_util.Rng
+module I32 = Dpp_util.Compact.I32
+module I8 = Dpp_util.Compact.I8
+module F64 = Dpp_util.Compact.F64
 module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
 module Design = Dpp_netlist.Design
-module Builder = Dpp_netlist.Builder
 module Soa = Dpp_netlist.Soa
 module Dgroup = Dpp_structure.Dgroup
 
@@ -11,8 +13,8 @@ let src = Logs.Src.create "dpp.coarsen" ~doc:"multilevel coarsening"
 module Log = (val Logs.src_log src : Logs.LOG)
 
 type level = {
-  fine : Design.t;
-  coarse : Design.t;
+  fine : Soa.t;
+  coarse : Soa.t;
   cluster_of : int array;
   members : int array array;
   group_of : (int * Dgroup.t) list;
@@ -23,15 +25,13 @@ type level = {
    to everything and would make every pair look like a heavy edge *)
 let max_net_degree = 16
 
-let cell_area (d : Design.t) i =
-  let c = Design.cell d i in
-  c.Types.c_width *. c.Types.c_height
+let cell_area (s : Soa.t) i = s.Soa.width.(i) *. s.Soa.height.(i)
 
 (* Merged clusters keep the exact member area; the shape spreads over
    just enough rows that no cluster grows wider than half the die. *)
-let cluster_shape (d : Design.t) ~area =
-  let die_w = Rect.width d.Design.die in
-  let rh = d.Design.row_height in
+let cluster_shape (s : Soa.t) ~area =
+  let die_w = Rect.width s.Soa.die in
+  let rh = s.Soa.row_height in
   let rows = max 1 (int_of_float (ceil (area /. rh /. (0.5 *. die_w)))) in
   let h = float_of_int rows *. rh in
   area /. h, h
@@ -46,8 +46,8 @@ let scratch_ints ?arena key n =
 let scratch_floats ?arena key n =
   match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
 
-let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t) =
-  let nc = Design.num_cells fine in
+let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Soa.t) =
+  let nc = Soa.num_cells fine in
   let cluster_of = Array.make nc (-1) in
   let next = ref 0 in
   let new_cluster () =
@@ -64,9 +64,7 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
         Array.length dg.Dgroup.cells > 0
         && Array.for_all
              (fun c ->
-               cluster_of.(c) < 0
-               && (not (protect c))
-               && (Design.cell fine c).Types.c_kind = Types.Movable)
+               cluster_of.(c) < 0 && (not (protect c)) && not (Soa.is_fixed fine c))
              dg.Dgroup.cells
       in
       if eligible then begin
@@ -83,8 +81,7 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
   (* 2. heavy-edge matching over the remaining movables, visited in a
      seeded shuffle; ties break on the lower cell id so the result is a
      pure function of (design, groups, seed) *)
-  let soa = Soa.of_design fine in
-  let movable = Design.movable_ids fine in
+  let movable = Soa.movable_ids fine in
   let free = Array.of_list (List.filter (fun i -> cluster_of.(i) < 0) (Array.to_list movable)) in
   let mean_area =
     if Array.length movable = 0 then 1.0
@@ -130,16 +127,16 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
         else begin
           n_touched := 0;
           let a_u = cell_area fine u in
-          Soa.iter_nets_of_cell soa u (fun n ->
-              let deg = Soa.net_cell_degree soa n in
+          Soa.iter_nets_of_cell fine u (fun n ->
+              let deg = Soa.net_cell_degree fine n in
               if deg >= 2 && deg <= max_net_degree then begin
-                let w = (Design.net fine n).Types.n_weight /. float_of_int (deg - 1) in
-                Soa.iter_cells_of_net soa n (fun v ->
+                let w = fine.Soa.net_weight.(n) /. float_of_int (deg - 1) in
+                Soa.iter_cells_of_net fine n (fun v ->
                     if
                       v <> u
                       && cluster_of.(v) < 0
                       && (not (protect v))
-                      && (Design.cell fine v).Types.c_kind = Types.Movable
+                      && (not (Soa.is_fixed fine v))
                       && a_u +. cell_area fine v <= area_cap
                     then begin
                       if stamp.(v) <> u then begin
@@ -167,10 +164,9 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
         end)
     order;
   (* 3. fixed cells and pads are preserved one-to-one *)
-  Array.iteri
-    (fun i (c : Types.cell) ->
-      if c.Types.c_kind <> Types.Movable then cluster_of.(i) <- new_cluster ())
-    fine.Design.cells;
+  for i = 0 to nc - 1 do
+    if Soa.is_fixed fine i then cluster_of.(i) <- new_cluster ()
+  done;
   let k = !next in
   let counts = scratch_ints ?arena "coarsen.counts" k in
   Array.iter (fun cid -> counts.(cid) <- counts.(cid) + 1) cluster_of;
@@ -181,86 +177,104 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
     members.(cid).(fill.(cid)) <- i;
     fill.(cid) <- fill.(cid) + 1
   done;
-  (* 4. the coarse design: one cell per cluster, ids equal cluster ids *)
-  let is_group = Array.make k false in
-  List.iter (fun (cid, _) -> is_group.(cid) <- true) group_of;
-  let group_dims = Array.make k (0.0, 0.0) in
+  (* 4. the coarse cells: one per cluster, ids equal cluster ids.  A
+     singleton copies its fine cell; a merged cluster is a movable
+     ["cluster"] centered on the die, with its group's array footprint or
+     its members' area *)
+  let die = fine.Soa.die in
+  let group_dims = Array.make k None in
   List.iter
-    (fun (cid, (dg : Dgroup.t)) -> group_dims.(cid) <- (dg.Dgroup.width, dg.Dgroup.height))
+    (fun (cid, (dg : Dgroup.t)) -> group_dims.(cid) <- Some (dg.Dgroup.width, dg.Dgroup.height))
     group_of;
-  let die = fine.Design.die in
-  let b =
-    Builder.create ~name:(fine.Design.name ^ "#") ~die ~row_height:fine.Design.row_height
-      ~site_width:fine.Design.site_width ()
+  let pick single merged =
+    Array.init k (fun cid -> match members.(cid) with [| i |] -> single i | _ -> merged cid)
   in
-  let protected = Array.make k false in
-  for cid = 0 to k - 1 do
-    let ms = members.(cid) in
-    let id =
-      if Array.length ms = 1 then begin
-        let i = ms.(0) in
-        let c = Design.cell fine i in
-        let id =
-          Builder.add_cell b
-            ~name:(Printf.sprintf "k%d" cid)
-            ~master:c.Types.c_master ~w:c.Types.c_width ~h:c.Types.c_height
-            ~kind:c.Types.c_kind
-        in
-        Builder.set_position b id ~x:fine.Design.x.(i) ~y:fine.Design.y.(i);
-        Builder.set_orient b id fine.Design.orient.(i);
-        protected.(cid) <- protected_src.(i);
-        id
-      end
-      else begin
-        let w, h =
-          if is_group.(cid) then group_dims.(cid)
-          else begin
-            let area = Array.fold_left (fun acc i -> acc +. cell_area fine i) 0.0 ms in
-            cluster_shape fine ~area
-          end
-        in
-        let id =
-          Builder.add_cell b
-            ~name:(Printf.sprintf "k%d" cid)
-            ~master:"cluster" ~w ~h ~kind:Types.Movable
-        in
-        Builder.set_position b id
-          ~x:(((die.Rect.xl +. die.Rect.xh) /. 2.0) -. (w /. 2.0))
-          ~y:(((die.Rect.yl +. die.Rect.yh) /. 2.0) -. (h /. 2.0));
-        protected.(cid) <- is_group.(cid);
-        id
-      end
-    in
-    assert (id = cid)
-  done;
+  let shape =
+    pick
+      (fun i -> fine.Soa.width.(i), fine.Soa.height.(i))
+      (fun cid ->
+        match group_dims.(cid) with
+        | Some dims -> dims
+        | None ->
+          let ms = members.(cid) in
+          cluster_shape fine ~area:(Array.fold_left (fun a i -> a +. cell_area fine i) 0.0 ms))
+  in
+  let width = Array.map fst shape and height = Array.map snd shape in
+  let centered lo hi w = ((lo +. hi) /. 2.0) -. (w /. 2.0) in
+  let x = pick (fun i -> fine.Soa.x.(i)) (fun c -> centered die.Rect.xl die.Rect.xh width.(c)) in
+  let y = pick (fun i -> fine.Soa.y.(i)) (fun c -> centered die.Rect.yl die.Rect.yh height.(c)) in
+  let kind = I8.make k Soa.kind_movable in
+  Array.iteri
+    (fun cid ms -> match ms with [| i |] -> I8.set kind cid (I8.get fine.Soa.kind i) | _ -> ())
+    members;
+  let protected = pick (fun i -> protected_src.(i)) (fun cid -> group_dims.(cid) <> None) in
   (* 5. coarse nets: one net per distinct incident-cluster set (weights
      merged), one center pin per (net, cluster); single-cluster nets are
      internal and vanish.  Keys are visited in first-seen order over the
      ascending fine nets, so net ids are deterministic too. *)
-  let net_keys = Hashtbl.create (Design.num_nets fine) in
+  let net_keys = Hashtbl.create (Soa.num_nets fine) in
   let key_order = ref [] in
-  for n = 0 to Design.num_nets fine - 1 do
-    let net = Design.net fine n in
-    let cs =
-      Array.to_list (Array.map (fun p -> cluster_of.((Design.pin fine p).Types.p_cell)) net.Types.n_pins)
-      |> List.sort_uniq compare
-    in
-    match cs with
+  for n = 0 to Soa.num_nets fine - 1 do
+    let cs = ref [] in
+    Soa.iter_cells_of_net fine n (fun c -> cs := cluster_of.(c) :: !cs);
+    match List.sort_uniq compare !cs with
     | [] | [ _ ] -> ()
-    | _ -> (
+    | cs -> (
+      let w = fine.Soa.net_weight.(n) in
       match Hashtbl.find_opt net_keys cs with
-      | Some w -> Hashtbl.replace net_keys cs (w +. net.Types.n_weight)
+      | Some acc -> Hashtbl.replace net_keys cs (acc +. w)
       | None ->
-        Hashtbl.add net_keys cs net.Types.n_weight;
+        Hashtbl.add net_keys cs w;
         key_order := cs :: !key_order)
   done;
-  List.iter
-    (fun cs ->
-      let weight = Hashtbl.find net_keys cs in
-      let pins = List.map (fun cid -> Builder.add_pin b ~cell:cid ~dir:Types.Inout ()) cs in
-      ignore (Builder.add_net b ~weight pins))
-    (List.rev !key_order);
-  let coarse = Builder.finish b in
+  let keys = Array.of_list (List.rev !key_order) in
+  let nn = Array.length keys in
+  (* pins are numbered net by net, clusters ascending within a net *)
+  let net_pin_off, net_pin =
+    Soa.csr nn
+      ~len:(fun j -> List.length keys.(j))
+      ~fill:(fun j dst off -> List.iteri (fun t _ -> I32.set dst (off + t) (off + t)) keys.(j))
+  in
+  let np = I32.get net_pin_off nn in
+  let pin_cell = I32.make (max 1 np) 0 and pin_net = I32.make (max 1 np) 0 in
+  let pins_of = Array.make k [] in
+  Array.iteri
+    (fun j cs ->
+      List.iteri
+        (fun t cid ->
+          let p = I32.get net_pin_off j + t in
+          I32.set pin_cell p cid;
+          I32.set pin_net p j;
+          pins_of.(cid) <- p :: pins_of.(cid))
+        cs)
+    keys;
+  let cell_pin_off, cell_pin =
+    Soa.csr k
+      ~len:(fun c -> List.length pins_of.(c))
+      ~fill:(fun c dst off ->
+        List.iteri (fun t p -> I32.set dst (off + t) p) (List.rev pins_of.(c)))
+  in
+  (* a center pin sits at half the cell's unoriented extent *)
+  let half dim =
+    let a = F64.make (max 1 np) 0.0 in
+    for p = 0 to np - 1 do
+      F64.set a p (dim.(I32.get pin_cell p) /. 2.0)
+    done;
+    a
+  in
+  let coarse =
+    Soa.make ~name:(fine.Soa.name ^ "#") ~die ~row_height:fine.Soa.row_height
+      ~site_width:fine.Soa.site_width ~num_rows:fine.Soa.num_rows
+      ~cell_name:(pick (fun i -> fine.Soa.cell_name.(i)) (fun _ -> "cluster"))
+      ~cell_master:(pick (fun i -> fine.Soa.cell_master.(i)) (fun _ -> "cluster"))
+      ~width ~height ~kind ~x ~y
+      ~orient:(pick (fun i -> fine.Soa.orient.(i)) (fun _ -> Dpp_geom.Orient.N))
+      ~cell_pin_off ~cell_pin ~net_name:(Array.make nn "")
+      ~net_weight:(Array.map (Hashtbl.find net_keys) keys)
+      ~net_pin_off ~net_pin ~pin_cell ~pin_net
+      ~pin_dir:(I8.make (max 1 np) (Soa.code_of_dir Types.Inout))
+      ~pin_dx:(half width) ~pin_dy:(half height) ~groups:[]
+  in
   { fine; coarse; cluster_of; members; group_of; protected }
 
 (* Size of the largest connected component of movable cells (connectivity
@@ -270,19 +284,16 @@ let coarsen_once ?arena ~rng ~groups ~protect ~area_cap_factor (fine : Design.t)
    reduces the wirelength gap (the 33.8x PEKO regression).  When even
    the largest island is at or below the flat-GP floor, coarsening has
    nothing to exploit and [build] falls back to flat GP. *)
-let largest_movable_component (d : Design.t) =
-  let nc = Design.num_cells d in
+let largest_movable_component (s : Soa.t) =
+  let nc = Soa.num_cells s in
   if nc = 0 then 0
   else begin
     let uf = Dpp_util.Union_find.create nc in
-    for n = 0 to Design.num_nets d - 1 do
-      let pins = (Design.net d n).Types.n_pins in
-      if Array.length pins >= 2 then begin
-        let c0 = (Design.pin d pins.(0)).Types.p_cell in
-        for k = 1 to Array.length pins - 1 do
-          Dpp_util.Union_find.union uf c0 (Design.pin d pins.(k)).Types.p_cell
-        done
-      end
+    for n = 0 to Soa.num_nets s - 1 do
+      let lo = I32.get s.Soa.net_cell_off n in
+      for k = lo + 1 to I32.get s.Soa.net_cell_off (n + 1) - 1 do
+        Dpp_util.Union_find.union uf (I32.get s.Soa.net_cell lo) (I32.get s.Soa.net_cell k)
+      done
     done;
     let counts = Array.make nc 0 in
     let best = ref 0 in
@@ -291,19 +302,19 @@ let largest_movable_component (d : Design.t) =
         let r = Dpp_util.Union_find.find uf i in
         counts.(r) <- counts.(r) + 1;
         if counts.(r) > !best then best := counts.(r))
-      (Design.movable_ids d);
+      (Soa.movable_ids s);
     !best
   end
 
-let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
-    ?(area_cap_factor = 4.0) ~seed (root : Design.t) =
+let of_soa ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
+    ?(area_cap_factor = 4.0) ~seed (root : Soa.t) =
   let rng = Rng.create (seed lxor 0x436f6172) in
   let rec go acc depth fine groups protect =
-    let n_mov = Array.length (Design.movable_ids fine) in
+    let n_mov = Array.length (Soa.movable_ids fine) in
     if depth >= max_levels || n_mov <= min_cells then List.rev acc
     else begin
       let lvl = coarsen_once ?arena ~rng:(Rng.split rng) ~groups ~protect ~area_cap_factor fine in
-      let n_coarse = Array.length (Design.movable_ids lvl.coarse) in
+      let n_coarse = Array.length (Soa.movable_ids lvl.coarse) in
       Log.info (fun m ->
           m "level %d: %d -> %d movables (%d group clusters)" (depth + 1) n_mov n_coarse
             (List.length lvl.group_of));
@@ -311,7 +322,7 @@ let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
       else go (lvl :: acc) (depth + 1) lvl.coarse [] (fun i -> lvl.protected.(i))
     end
   in
-  let n_mov = Array.length (Design.movable_ids root) in
+  let n_mov = Array.length (Soa.movable_ids root) in
   if n_mov > min_cells then begin
     let lcc = largest_movable_component root in
     if lcc <= min_cells then begin
@@ -324,9 +335,12 @@ let build ?arena ?(groups = []) ?(min_cells = 500) ?(max_levels = 3)
   end
   else go [] 0 root groups (fun _ -> false)
 
+let build ~groups ~min_cells ~max_levels ~seed (d : Design.t) =
+  of_soa ~groups ~min_cells ~max_levels ~seed (Soa.of_design d)
+
 let cluster_centers ?arena (lvl : level) ~cx ~cy =
-  let k = Design.num_cells lvl.coarse in
-  (* keyed by the coarse design's name, which encodes the level depth
+  let k = Soa.num_cells lvl.coarse in
+  (* keyed by the coarse netlist's name, which encodes the level depth
      ("name#", "name##", ...) — each level of one V-cycle holds its own
      buffer, while repeated V-cycles over one hierarchy recycle.  Every
      slot is written below, so the raw (non-zeroing) variant is safe:
@@ -337,8 +351,8 @@ let cluster_centers ?arena (lvl : level) ~cx ~cy =
     | Some a -> Dpp_util.Arena.floats_raw a key n
     | None -> Array.make n 0.0
   in
-  let ccx = raw ("coarsen.ccx:" ^ lvl.coarse.Design.name) k
-  and ccy = raw ("coarsen.ccy:" ^ lvl.coarse.Design.name) k in
+  let ccx = raw ("coarsen.ccx:" ^ lvl.coarse.Soa.name) k
+  and ccy = raw ("coarsen.ccy:" ^ lvl.coarse.Soa.name) k in
   for cid = 0 to k - 1 do
     let ms = lvl.members.(cid) in
     if Array.length ms = 1 then begin
@@ -362,8 +376,8 @@ let cluster_centers ?arena (lvl : level) ~cx ~cy =
   ccx, ccy
 
 let interpolate (lvl : level) ~ccx ~ccy ~cx ~cy =
-  let die = lvl.fine.Design.die in
-  let is_group = Array.make (Design.num_cells lvl.coarse) false in
+  let die = lvl.fine.Soa.die in
+  let is_group = Array.make (Soa.num_cells lvl.coarse) false in
   List.iter (fun (cid, _) -> is_group.(cid) <- true) lvl.group_of;
   (* group clusters re-seed their members in bit order at the idealized
      array offsets from the solved cluster center *)
@@ -381,12 +395,10 @@ let interpolate (lvl : level) ~ccx ~ccy ~cx ~cy =
     lvl.group_of;
   Array.iteri
     (fun cid ms ->
-      if (not is_group.(cid)) && (Design.cell lvl.coarse cid).Types.c_kind = Types.Movable
-      then
+      if (not is_group.(cid)) && not (Soa.is_fixed lvl.coarse cid) then
         Array.iter
           (fun i ->
-            let c = Design.cell lvl.fine i in
-            let hw = c.Types.c_width /. 2.0 and hh = c.Types.c_height /. 2.0 in
+            let hw = lvl.fine.Soa.width.(i) /. 2.0 and hh = lvl.fine.Soa.height.(i) /. 2.0 in
             cx.(i) <- min (max ccx.(cid) (die.Rect.xl +. hw)) (die.Rect.xh -. hw);
             cy.(i) <- min (max ccy.(cid) (die.Rect.yl +. hh)) (die.Rect.yh -. hh))
           ms)

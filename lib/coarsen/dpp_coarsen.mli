@@ -1,6 +1,7 @@
 (** Structure-aware netlist coarsening for multilevel global placement.
 
-    A {!level} maps a fine design onto a coarse one: every fine cell
+    A {!level} maps a fine netlist onto a coarse one, both
+    {!Dpp_netlist.Soa} views: every fine cell
     belongs to exactly one cluster, every cluster is one coarse cell.
     The first level seeds one cluster per datapath group ({!Dpp_structure.Dgroup})
     — a bit-slice is never split across clusters — then matches the
@@ -14,8 +15,9 @@
     identical levels, independent of wall clock or worker count. *)
 
 type level = {
-  fine : Dpp_netlist.Design.t;
-  coarse : Dpp_netlist.Design.t;
+  fine : Dpp_netlist.Soa.t;
+      (** the finer netlist; the first level's is the caller's view itself *)
+  coarse : Dpp_netlist.Soa.t;
   cluster_of : int array;
       (** fine cell id -> coarse cell id; defined for {e every} fine
           cell (fixed cells map to their preserved singleton) *)
@@ -29,27 +31,38 @@ type level = {
           clusters and clusters inherited from protected fine cells) *)
 }
 
-val build :
+val of_soa :
   ?arena:Dpp_util.Arena.t ->
   ?groups:Dpp_structure.Dgroup.t list ->
   ?min_cells:int ->
   ?max_levels:int ->
   ?area_cap_factor:float ->
   seed:int ->
-  Dpp_netlist.Design.t ->
+  Dpp_netlist.Soa.t ->
   level list
-(** [build ~groups ~seed d] is the coarsening hierarchy, finest level
-    first ([levels.(k).coarse == levels.(k+1).fine]).  [groups] seeds
+(** [of_soa ~groups ~seed s] is the coarsening hierarchy, finest level
+    first ([levels.(k).coarse == levels.(k+1).fine], and the first
+    level's [fine == s]).  [groups] seeds
     the first level only (deeper levels keep those clusters intact as
-    protected singletons).  Stops when the coarse design has at most
+    protected singletons).  Stops when the coarse netlist has at most
     [min_cells] movables (default 500), after [max_levels] levels
     (default 3), or when a level shrinks the movable count by less than
     10%.  [area_cap_factor] (default 4.0) bounds a merged cluster's area
     to that multiple of the level's mean movable-cell area.  Returns
-    [[]] when the design is already at or below the floor, or when its
+    [[]] when the netlist is already at or below the floor, or when its
     largest connected component of movable cells is itself at or below
     [min_cells] — a PEKO-style dust of tiny islands where heavy-edge
     matching degenerates; flat GP is the better start there. *)
+
+val build :
+  groups:Dpp_structure.Dgroup.t list ->
+  min_cells:int ->
+  max_levels:int ->
+  seed:int ->
+  Dpp_netlist.Design.t ->
+  level list
+(** [of_soa (Soa.of_design d)], kept for [perfbench/]; library code
+    calls {!of_soa}. *)
 
 val cluster_centers :
   ?arena:Dpp_util.Arena.t ->
@@ -60,7 +73,7 @@ val cluster_centers :
 (** Area-weighted centroid of each cluster's members, evaluated over the
     fine center arrays — the upward (restriction) half of the V-cycle.
     Fixed singletons keep their fine centers.  With [arena], the returned
-    arrays are arena buffers keyed by the coarse design's name: valid
+    arrays are arena buffers keyed by the coarse netlist's name: valid
     until the next restriction over the same hierarchy, which is exactly
     the V-cycle's reuse pattern. *)
 

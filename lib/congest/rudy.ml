@@ -12,21 +12,32 @@ type t = {
   supply : float;
 }
 
-let default_dims (d : Design.t) =
-  let movable = Array.length (Design.movable_ids d) in
+(* Monomorphic clamps with Stdlib [min]/[max]'s exact selection
+   ([<=]/[>=]): the polymorphic ones are out-of-line calls on boxed
+   floats inside the scatter. *)
+let[@inline] clamp n v =
+  let v = if n - 1 <= v then n - 1 else v in
+  if 0 >= v then 0 else v
+
+let[@inline] fmin (a : float) b = if a <= b then a else b
+let[@inline] fmax (a : float) b = if a >= b then a else b
+
+let default_dims (s : Soa.t) =
+  let movable = Array.length (Soa.movable_ids s) in
   let side = int_of_float (Float.round (sqrt (float_of_int movable /. 4.0))) in
   let side = max 8 (min 256 side) in
   side, side
 
 module Pool = Dpp_par.Pool
 
-let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
-  let dnx, dny = default_dims d in
+let of_pins ?pool ?arena ?nx ?ny (pins : Pins.t) ~cx ~cy =
+  let soa = pins.Pins.soa in
+  let dnx, dny = default_dims soa in
   (* a non-positive request (or a degenerate derivation) collapses to the
      single-bin grid rather than a zero-length demand array *)
   let nx = max 1 (Option.value nx ~default:dnx)
   and ny = max 1 (Option.value ny ~default:dny) in
-  let die = d.Design.die in
+  let die = soa.Soa.die in
   (* zero-extent dies (all rows degenerate, or a single-point outline)
      would make every bin zero-area and the normalisation below divide by
      zero; fall back to unit bins so the map stays finite *)
@@ -41,18 +52,13 @@ let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
   (* arena-recycled buffers make the routability loop's every-round RUDY
      evaluation allocation-free; [floats] zero-fills, so the scatter sees
      exactly what a fresh [Array.make] would.  The returned map then
-     aliases the arena: it is invalidated by the next [compute] against
+     aliases the arena: it is invalidated by the next call against
      the same arena. *)
   let afloats key n =
     match arena with Some a -> Dpp_util.Arena.floats a key n | None -> Array.make n 0.0
   in
   let demand = afloats "rudy.demand" (nx * ny) in
-  (* the flow hands down its shared pin view; standalone callers pay one
-     flat-core derivation *)
-  let pins = match pins with Some p -> p | None -> Pins.build d in
-  let soa = pins.Pins.soa in
-  let clamp_ix v = max 0 (min (nx - 1) v) in
-  let clamp_iy v = max 0 (min (ny - 1) v) in
+  let clamp_ix v = clamp nx v and clamp_iy v = clamp ny v in
   (* [wrow] hoists the per-column x-overlap widths of the net box across
      the window's rows; the widths and the (w > 0 && h > 0 then w *. h)
      gate are exactly [Rect.overlap_area]'s floats, so the scatter is
@@ -71,7 +77,7 @@ let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
         if y > !ymax then ymax := y
       done;
       (* degenerate boxes get one wire-width of extent *)
-      let w = max 1.0 (!xmax -. !xmin) and h = max 1.0 (!ymax -. !ymin) in
+      let w = fmax 1.0 (!xmax -. !xmin) and h = fmax 1.0 (!ymax -. !ymin) in
       let weight = soa.Soa.net_weight.(n) in
       let density = weight *. (w +. h) /. (w *. h) in
       let box_xl = !xmin and box_yl = !ymin in
@@ -83,12 +89,12 @@ let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
       for ix = ix0 to ix1 do
         let bxl = die.Rect.xl +. (float_of_int ix *. bin_w) in
         let bxh = die.Rect.xl +. (float_of_int (ix + 1) *. bin_w) in
-        wrow.(ix) <- min box_xh bxh -. max box_xl bxl
+        wrow.(ix) <- fmin box_xh bxh -. fmax box_xl bxl
       done;
       for iy = iy0 to iy1 do
         let byl = die.Rect.yl +. (float_of_int iy *. bin_h) in
         let byh = die.Rect.yl +. (float_of_int (iy + 1) *. bin_h) in
-        let hh = min box_yh byh -. max box_yl byl in
+        let hh = fmin box_yh byh -. fmax box_yl byl in
         if hh > 0.0 then begin
           let row = iy * nx in
           for ix = ix0 to ix1 do
@@ -139,6 +145,8 @@ let compute ?pool ?arena ?pins ?nx ?ny (d : Design.t) ~cx ~cy =
   let bin_area = bin_w *. bin_h in
   Array.iteri (fun i v -> demand.(i) <- v /. bin_area) demand;
   { nx; ny; bin_w; bin_h; demand; supply = 1.0 }
+
+let compute ~pins (_ : Design.t) ~cx ~cy = of_pins pins ~cx ~cy
 
 type stats = {
   max_ratio : float;

@@ -20,21 +20,19 @@ type t = {
   supply : float;  (** uniform per-area routing supply used for normalisation *)
 }
 
-val compute :
+val of_pins :
   ?pool:Dpp_par.Pool.t ->
   ?arena:Dpp_util.Arena.t ->
-  ?pins:Dpp_wirelen.Pins.t ->
   ?nx:int ->
   ?ny:int ->
-  Dpp_netlist.Design.t ->
+  Dpp_wirelen.Pins.t ->
   cx:float array ->
   cy:float array ->
   t
-(** Default grid: {!Dpp_density.Grid.default_dims}-like sizing (~4 cells
-    per bin, clamped to 8..256 per side).  [pins] reuses an existing pin
-    view (the flow passes its shared one); without it the call derives a
-    fresh flat core from [d] — avoid that on large designs.  The supply is calibrated so the
-    design-wide average utilisation of routing area is meaningful across
+(** The demand map of the nets in [pins]'s flat core at centers
+    [cx]/[cy].  Default grid: {!Dpp_density.Grid.dims_of_soa}-like sizing
+    (~4 movable cells per bin, clamped to 8..256 per side).  The supply is
+    calibrated so the design-wide average utilisation of routing area is meaningful across
     designs: [supply = total demand / die area] would always average 1, so
     instead the supply is [2 * sqrt(total cell area) / die area]-free:
     we use the simple convention [supply = 1.0] wiring unit per unit area,
@@ -49,12 +47,16 @@ val compute :
     the arena instead of fresh allocation (bit-identical result): the
     routability loop evaluates RUDY every round without allocating.  The
     returned map then aliases arena buffers — it is invalidated by the
-    next [compute] against the same arena.
+    next call against the same arena.
 
     Degenerate inputs are clamped rather than rejected: non-positive
     [nx]/[ny] collapse to the single-bin grid, and a zero-extent die
     (zero-height rows, point outlines) falls back to unit bins so the
     per-area normalisation never divides by zero. *)
+
+val compute :
+  pins:Dpp_wirelen.Pins.t -> Dpp_netlist.Design.t -> cx:float array -> cy:float array -> t
+(** [of_pins pins], kept for [perfbench/]; the design is ignored. *)
 
 type stats = {
   max_ratio : float;  (** hottest bin demand / supply *)

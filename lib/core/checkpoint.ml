@@ -40,7 +40,7 @@ let run ~stage (ctx : Ctx.t) =
   (match (stage, ctx.Ctx.metrics) with
   | "metrics", Some { Ctx.congestion = stats; _ } ->
     oracle "congestion"
-      (Check.congestion ~pool:ctx.Ctx.pool ~pins:ctx.Ctx.pins d ~stats ~cx ~cy)
+      (Check.congestion ~pool:ctx.Ctx.pool ctx.Ctx.pins ~stats ~cx ~cy)
   | _ -> ());
   if List.mem stage legality_from then begin
     oracle "legal" (Check.legal d ~cx ~cy);

@@ -21,9 +21,9 @@ type metrics = {
 
 type t = {
   design : Dpp_netlist.Design.t;
-      (** the placed copy being optimized; read only by extract, gp,
-          metrics, the oracles and result assembly — the other stages
-          take [soa]/[pins] *)
+      (** the placed copy being optimized; read only by extract, the
+          metrics stage's STA, the oracles and result assembly — the
+          other stages take [soa]/[pins] *)
   config : Config.t;
   pool : Dpp_par.Pool.t;
       (** worker pool sized from [config.jobs], shared by every stage's
@@ -71,7 +71,8 @@ type t = {
   mutable gp : Dpp_place.Gp.result option;
   mutable ml_levels : Dpp_coarsen.level list;
       (** the coarsening hierarchy the gp stage ran on ([[]] = flat GP);
-          kept for the cluster-integrity oracle and the trace *)
+          the first level's [fine] is [soa] itself.  Kept for the
+          cluster-integrity oracle and the trace *)
   mutable gp_levels : Dpp_place.Gp.level_info list;
       (** per-level V-cycle solve records, ascending level order *)
   mutable metrics : metrics option;  (** [None] until the metrics stage ran *)

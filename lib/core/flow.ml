@@ -121,12 +121,16 @@ let init_stage =
         ctx);
   }
 
+let multilevel_wanted (ctx : Ctx.t) =
+  Config.multilevel_enabled ctx.Ctx.config
+    ~movables:(Array.length (Soa.movable_ids ctx.Ctx.soa))
+
 let gp_stage =
   {
     name = "gp";
     run =
       (fun (ctx : Ctx.t) ->
-        let d = ctx.Ctx.design and cfg = ctx.Ctx.config in
+        let cfg = ctx.Ctx.config in
         let die_area = Dpp_geom.Rect.area ctx.Ctx.soa.Soa.die in
         let rigid, soft =
           match cfg.Config.mode, cfg.Config.structure with
@@ -159,21 +163,20 @@ let gp_stage =
             rt_max_inflate = cfg.Config.rt_max_inflate;
           }
         in
-        let movables = Array.length (Soa.movable_ids ctx.Ctx.soa) in
         let levels =
-          if Config.multilevel_enabled cfg ~movables then
+          if multilevel_wanted ctx then
             (* bit-slices and movable macros seed the first-level
                clusters, so no group is ever split across clusters *)
-            Dpp_coarsen.build ~arena:ctx.Ctx.arena
+            Dpp_coarsen.of_soa ~arena:ctx.Ctx.arena
               ~groups:(ctx.Ctx.dgroups @ ctx.Ctx.macro_dgs)
               ~min_cells:cfg.Config.ml_min_cells ~max_levels:cfg.Config.ml_max_levels
-              ~seed:cfg.Config.seed d
+              ~seed:cfg.Config.seed ctx.Ctx.soa
           else []
         in
         ctx.Ctx.ml_levels <- levels;
         let mlr =
-          Gp.run_multilevel ~arena:ctx.Ctx.arena ~pins:ctx.Ctx.pins d gp_cfg ~levels
-            ~cx:ctx.Ctx.cx ~cy:ctx.Ctx.cy
+          Gp.run_multilevel ~arena:ctx.Ctx.arena ~pins:ctx.Ctx.pins gp_cfg ~levels ~cx:ctx.Ctx.cx
+            ~cy:ctx.Ctx.cy
         in
         ctx.Ctx.gp <- Some mlr.Gp.result;
         ctx.Ctx.gp_levels <- mlr.Gp.level_trace;
@@ -268,7 +271,7 @@ let metrics_stage =
         let d = ctx.Ctx.design in
         let cx = ctx.Ctx.cx and cy = ctx.Ctx.cy in
         let steiner = Rsmt.total ctx.Ctx.pins ~cx ~cy in
-        let rudy = Dpp_congest.Rudy.compute ~pool:ctx.Ctx.pool ~pins:ctx.Ctx.pins d ~cx ~cy in
+        let rudy = Dpp_congest.Rudy.of_pins ~pool:ctx.Ctx.pool ctx.Ctx.pins ~cx ~cy in
         let congestion = Dpp_congest.Rudy.stats rudy in
         let timing = Dpp_timing.Sta.analyze (Dpp_timing.Sta.build d) ~cx ~cy in
         ctx.Ctx.metrics <-
@@ -358,13 +361,29 @@ let run_stages ?prepare ?observer ?(check = false) ~stages:stage_list (input : D
         match stage.name with
         | "gp" -> (
           match ctx.Ctx.gp with
-          | Some g when g.Gp.rt_trace <> [] ->
-            let last = List.nth g.Gp.rt_trace (List.length g.Gp.rt_trace - 1) in
+          | None -> []
+          | Some g ->
+            (* how GP ended, and whether multilevel fell back to flat *)
+            let bypassed =
+              if multilevel_wanted ctx && ctx.Ctx.ml_levels = [] then
+                [ "ml_bypassed", Json.Bool true ]
+              else []
+            in
+            let steering =
+              match List.rev g.Gp.rt_trace with
+              | [] -> []
+              | last :: _ ->
+                [
+                  "rt_rounds", Json.Num (float_of_int (List.length g.Gp.rt_trace));
+                  "rt_best_ace", Json.Num last.Gp.rt_best;
+                ]
+            in
             [
-              "rt_rounds", Json.Num (float_of_int (List.length g.Gp.rt_trace));
-              "rt_best_ace", Json.Num last.Gp.rt_best;
+              "gp_stop", Json.Str (Gp.stop_reason_to_string g.Gp.stop);
+              "gp_final_overflow", Json.Num g.Gp.final_overflow;
+              "gp_overflow_target", Json.Num cfg.Config.overflow_target;
             ]
-          | _ -> [])
+            @ bypassed @ steering)
         | "metrics" -> (
           match ctx.Ctx.metrics with
           | Some m ->

@@ -50,7 +50,11 @@ type result = {
       (** the GP routability-steering ledger (flat refinement in multilevel
           runs); [[]] unless [routability] was on and steering ran *)
   stage_trace : Dpp_report.Trace.stage list;
-      (** one record per pipeline stage, flow order *)
+      (** one record per pipeline stage, flow order.  The gp record's
+          [extra] says how GP ended: [gp_stop] (a
+          {!Dpp_place.Gp.stop_reason_to_string} value), [gp_final_overflow]
+          and [gp_overflow_target], plus [ml_bypassed: true] when
+          multilevel was enabled but coarsening returned no level *)
   times : (string * float) list;  (** stage name -> seconds, flow order *)
   total_time : float;
 }

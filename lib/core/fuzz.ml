@@ -228,9 +228,10 @@ let soa_checks (c : case) =
           fun ~gx ~gy -> R.lse_value_grad rp ~gamma ~cx ~cy ~gx ~gy );
       ];
     if !fail = None then begin
-      let nx, ny = Grid.default_dims d in
-      let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create d ~grid ~target_density:0.9 in
+      let soa = pins.Pins.soa in
+      let nx, ny = Grid.dims_of_soa soa in
+      let grid = Grid.of_soa soa ~nx ~ny in
+      let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
       let rbell = R.Rbell.create d ~grid ~target_density:0.9 in
       let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
       let gx' = Array.make nc 0.0 and gy' = Array.make nc 0.0 in
@@ -240,7 +241,7 @@ let soa_checks (c : case) =
         record "bell" (Printf.sprintf "penalty: soa %.17g vs record %.17g" v v');
       Option.iter (record "bell") (first_mismatch ~what:"gx" gx gx');
       Option.iter (record "bell") (first_mismatch ~what:"gy" gy gy');
-      let rd = Rudy.compute ~pins ~nx ~ny d ~cx ~cy in
+      let rd = Rudy.of_pins ~nx ~ny pins ~cx ~cy in
       let rr = R.rudy rp ~nx ~ny ~cx ~cy in
       Option.iter (record "rudy") (first_mismatch ~what:"demand" rd.Rudy.demand rr)
     end;
@@ -299,9 +300,10 @@ let par_checks (c : case) =
       [ Model.Lse; Model.Wa ];
     (* density: the pooled kernel must not depend on the worker count *)
     if !fail = None then begin
-      let nx, ny = Grid.default_dims d in
-      let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create d ~grid ~target_density:0.9 in
+      let soa = pins.Pins.soa in
+      let nx, ny = Grid.dims_of_soa soa in
+      let grid = Grid.of_soa soa ~nx ~ny in
+      let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
       let run p =
         let bp = Bell.par_create bell in
         let gx = Array.make nc 0.0 and gy = Array.make nc 0.0 in
@@ -318,8 +320,8 @@ let par_checks (c : case) =
     end;
     (* RUDY: same worker-count independence over the pooled scatter *)
     if !fail = None then begin
-      let r1 = Rudy.compute ~pool:pool1 d ~cx ~cy in
-      let rn = Rudy.compute ~pool d ~cx ~cy in
+      let r1 = Rudy.of_pins ~pool:pool1 pins ~cx ~cy in
+      let rn = Rudy.of_pins ~pool pins ~cx ~cy in
       Option.iter (record "rudy")
         (first_mismatch ~what:"demand" r1.Rudy.demand rn.Rudy.demand)
     end;
@@ -517,9 +519,10 @@ let rt_checks (c : case) =
   (* inflation round trip on the adversarial micro-designs *)
   let d = random_design ~seed:c.seed ~cells:(c.cells / 4) ~nets:c.nets in
   let cx, cy = Pins.centers_of_design d in
-  let nx, ny = Grid.default_dims d in
-  let grid = Grid.build d ~nx ~ny in
-  let bell = Bell.create d ~grid ~target_density:0.9 in
+  let soa = Dpp_netlist.Soa.of_design d in
+  let nx, ny = Grid.dims_of_soa soa in
+  let grid = Grid.of_soa soa ~nx ~ny in
+  let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
   let v0 = Bell.value bell ~cx ~cy in
   let rng = Rng.create ((c.seed * 17) + 3) in
   let factors =

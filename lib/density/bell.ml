@@ -47,8 +47,6 @@ let lattice_sum ~r ~step =
   done;
   !acc
 
-let grid t = t.grid
-
 let of_soa ?(frozen = fun _ -> false) (s : Soa.t) ~grid ~target_density =
   if target_density <= 0.0 then invalid_arg "Bell.create: non-positive target density";
   let nc = Soa.num_cells s in
@@ -115,9 +113,7 @@ let set_inflation t factors =
 let reset_inflation t =
   Array.iter (fun i -> t.normalizer.(i) <- t.base_normalizer.(i)) t.movable
 
-let create ?frozen ?soa (d : Design.t) ~grid ~target_density =
-  let s = match soa with Some s -> s | None -> Soa.of_design d in
-  of_soa ?frozen s ~grid ~target_density
+let create ~soa (_ : Design.t) ~grid ~target_density = of_soa soa ~grid ~target_density
 
 (* The hot kernels below inline their window walks directly — a closure
    callback taking float arguments (the old [iter_window] helper) boxes

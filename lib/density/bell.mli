@@ -19,24 +19,15 @@
 
 type t
 
-val create :
-  ?frozen:(int -> bool) ->
-  ?soa:Dpp_netlist.Soa.t ->
-  Dpp_netlist.Design.t ->
-  grid:Grid.t ->
-  target_density:float ->
-  t
-(** [frozen] excludes movable cells that a later flow phase treats as
-    obstacles (snapped group members); their area must then be subtracted
-    from the grid capacity by the caller.  [soa] supplies the flow's flat
-    view so the construction scan reads flat arrays; without it one is
-    derived on the spot. *)
-
 val of_soa :
   ?frozen:(int -> bool) -> Dpp_netlist.Soa.t -> grid:Grid.t -> target_density:float -> t
-(** {!create} directly over the flat core (no [Design.t] needed). *)
+(** [frozen] excludes movable cells that a later flow phase treats as
+    obstacles (snapped group members); their area must then be subtracted
+    from the grid capacity by the caller. *)
 
-val grid : t -> Grid.t
+val create :
+  soa:Dpp_netlist.Soa.t -> Dpp_netlist.Design.t -> grid:Grid.t -> target_density:float -> t
+(** [of_soa soa], kept for [perfbench/]; the design is ignored. *)
 
 val value : t -> cx:float array -> cy:float array -> float
 

@@ -1,6 +1,6 @@
 module Rect = Dpp_geom.Rect
-module Design = Dpp_netlist.Design
-module Types = Dpp_netlist.Types
+module Soa = Dpp_netlist.Soa
+module I8 = Dpp_util.Compact.I8
 
 (* Float [min]/[max] with Stdlib's exact selection ([<=]/[>=]), but
    specialised: the polymorphic ones are out-of-line calls on boxed
@@ -19,15 +19,14 @@ let[@inline] clamp_bin n v =
    evaluated without a [Rect.t], a tuple or a boxed float per cell or
    bin.  Cells go in ascending id and bins (iy outer, ix inner), so every
    sum is bit-identical to those functions composed. *)
-let accumulate_usage ~frozen (d : Design.t) (g : Grid.t) ~cx ~cy (usage : float array) =
+let accumulate_usage ~frozen (s : Soa.t) (g : Grid.t) ~cx ~cy (usage : float array) =
   let ox = g.Grid.die.Rect.xl and oy = g.Grid.die.Rect.yl in
   let bw = g.Grid.bin_w and bh = g.Grid.bin_h in
   let nx = g.Grid.nx and ny = g.Grid.ny in
   let area = ref 0.0 in
-  for i = 0 to Design.num_cells d - 1 do
-    let c = d.Design.cells.(i) in
-    if not (Types.is_fixed_kind c.Types.c_kind) then begin
-      let w = c.Types.c_width and h = c.Types.c_height in
+  for i = 0 to Soa.num_cells s - 1 do
+    if I8.get s.Soa.kind i = Soa.kind_movable then begin
+      let w = s.Soa.width.(i) and h = s.Soa.height.(i) in
       area := !area +. (w *. h);
       if not (frozen i) then begin
         let xl = cx.(i) -. (w /. 2.0) and yl = cy.(i) -. (h /. 2.0) in
@@ -54,14 +53,14 @@ let accumulate_usage ~frozen (d : Design.t) (g : Grid.t) ~cx ~cy (usage : float 
   done;
   !area
 
-let bin_usage ?(frozen = fun _ -> false) (d : Design.t) (g : Grid.t) ~cx ~cy =
+let bin_usage ?(frozen = fun _ -> false) s (g : Grid.t) ~cx ~cy =
   let usage = Array.make (g.Grid.nx * g.Grid.ny) 0.0 in
-  ignore (accumulate_usage ~frozen d g ~cx ~cy usage);
+  ignore (accumulate_usage ~frozen s g ~cx ~cy usage);
   usage
 
-let total_overflow ?(frozen = fun _ -> false) d g ~target_density ~cx ~cy =
+let total_overflow ?(frozen = fun _ -> false) s g ~target_density ~cx ~cy =
   let usage = Array.make (g.Grid.nx * g.Grid.ny) 0.0 in
-  let total_area = accumulate_usage ~frozen d g ~cx ~cy usage in
+  let total_area = accumulate_usage ~frozen s g ~cx ~cy usage in
   if total_area <= 0.0 then 0.0
   else begin
     let acc = ref 0.0 in
@@ -72,8 +71,8 @@ let total_overflow ?(frozen = fun _ -> false) d g ~target_density ~cx ~cy =
     !acc /. total_area
   end
 
-let max_density d g ~cx ~cy =
-  let usage = bin_usage d g ~cx ~cy in
+let max_density s g ~cx ~cy =
+  let usage = bin_usage s g ~cx ~cy in
   let m = ref 0.0 in
   for b = 0 to Array.length usage - 1 do
     let cap = g.Grid.capacity.(b) in

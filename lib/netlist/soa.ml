@@ -121,70 +121,33 @@ let build_adjacency ~nc ~nn ~net_pin_off ~net_pin ~pin_cell =
   done;
   net_cell_off, net_cell, cell_net_off, cell_net
 
-let of_design (d : Design.t) =
-  let nc = Design.num_cells d in
-  let nn = Design.num_nets d in
-  let np = Design.num_pins d in
-  guard_pin_count ~name:d.Design.name np;
-  let pool = Dpp_util.Strpool.create () in
-  let cell_name = Array.make nc "" in
-  let cell_master = Array.make nc "" in
-  let width = Array.make nc 0.0 in
-  let height = Array.make nc 0.0 in
-  let kind = I8.make nc kind_movable in
-  let cell_pin_off = I32.make (nc + 1) 0 in
-  for i = 0 to nc - 1 do
-    let c = d.Design.cells.(i) in
-    cell_name.(i) <- c.Types.c_name;
-    cell_master.(i) <- Dpp_util.Strpool.intern pool c.Types.c_master;
-    width.(i) <- c.Types.c_width;
-    height.(i) <- c.Types.c_height;
-    I8.set kind i (code_of_kind c.Types.c_kind);
-    I32.set cell_pin_off (i + 1) (I32.get cell_pin_off i + Array.length c.Types.c_pins)
+(* Count-then-fill CSR: row [i] holds [len i] ids, written by [fill i]
+   from its offset into the payload. *)
+let csr n ~len ~fill =
+  let off = I32.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    I32.set off (i + 1) (I32.get off i + len i)
   done;
-  let cell_pin = I32.make (max 1 (I32.get cell_pin_off nc)) 0 in
-  for i = 0 to nc - 1 do
-    let pins = d.Design.cells.(i).Types.c_pins in
-    I32.blit_array pins ~src_off:0 cell_pin ~dst_off:(I32.get cell_pin_off i)
-      ~len:(Array.length pins)
+  let payload = I32.make (max 1 (I32.get off n)) 0 in
+  for i = 0 to n - 1 do
+    fill i payload (I32.get off i)
   done;
-  let net_name = Array.make nn "" in
-  let net_weight = Array.make nn 0.0 in
-  let net_pin_off = I32.make (nn + 1) 0 in
-  for n = 0 to nn - 1 do
-    let nt = d.Design.nets.(n) in
-    net_name.(n) <- Dpp_util.Strpool.intern pool nt.Types.n_name;
-    net_weight.(n) <- nt.Types.n_weight;
-    I32.set net_pin_off (n + 1) (I32.get net_pin_off n + Array.length nt.Types.n_pins)
-  done;
-  let net_pin = I32.make (max 1 (I32.get net_pin_off nn)) 0 in
-  for n = 0 to nn - 1 do
-    let pins = d.Design.nets.(n).Types.n_pins in
-    I32.blit_array pins ~src_off:0 net_pin ~dst_off:(I32.get net_pin_off n)
-      ~len:(Array.length pins)
-  done;
-  let pin_cell = I32.make (max 1 np) 0 in
-  let pin_net = I32.make (max 1 np) (-1) in
-  let pin_dir = I8.make (max 1 np) (code_of_dir Types.Inout) in
-  let pin_dx = F64.make (max 1 np) 0.0 in
-  let pin_dy = F64.make (max 1 np) 0.0 in
-  for p = 0 to np - 1 do
-    let pin = d.Design.pins.(p) in
-    I32.set pin_cell p pin.Types.p_cell;
-    I32.set pin_net p pin.Types.p_net;
-    I8.set pin_dir p (code_of_dir pin.Types.p_dir);
-    F64.set pin_dx p pin.Types.p_dx;
-    F64.set pin_dy p pin.Types.p_dy
-  done;
+  off, payload
+
+let make ~name ~die ~row_height ~site_width ~num_rows ~cell_name ~cell_master ~width ~height
+    ~kind ~x ~y ~orient ~cell_pin_off ~cell_pin ~net_name ~net_weight ~net_pin_off ~net_pin
+    ~pin_cell ~pin_net ~pin_dir ~pin_dx ~pin_dy ~groups =
+  let nc = Array.length width and nn = Array.length net_weight in
+  let np = I32.get cell_pin_off nc in
   let net_cell_off, net_cell, cell_net_off, cell_net =
     build_adjacency ~nc ~nn ~net_pin_off ~net_pin ~pin_cell
   in
   {
-    name = d.Design.name;
-    die = d.Design.die;
-    row_height = d.Design.row_height;
-    site_width = d.Design.site_width;
-    num_rows = d.Design.num_rows;
+    name;
+    die;
+    row_height;
+    site_width;
+    num_rows;
     num_cells = nc;
     num_nets = nn;
     num_pins = np;
@@ -193,12 +156,9 @@ let of_design (d : Design.t) =
     width;
     height;
     kind;
-    (* the coordinate and orientation arrays are ALIASED, not copied: the
-       flat view and the record view always agree on live placement state,
-       so in-place moves (flip, apply_centers) need no synchronization *)
-    x = d.Design.x;
-    y = d.Design.y;
-    orient = d.Design.orient;
+    x;
+    y;
+    orient;
     cell_pin_off;
     cell_pin;
     net_name;
@@ -214,8 +174,60 @@ let of_design (d : Design.t) =
     net_cell;
     cell_net_off;
     cell_net;
-    groups = d.Design.groups;
+    groups;
   }
+
+let of_design (d : Design.t) =
+  let nc = Design.num_cells d in
+  let nn = Design.num_nets d in
+  let np = Design.num_pins d in
+  guard_pin_count ~name:d.Design.name np;
+  let pool = Dpp_util.Strpool.create () in
+  let kind = I8.make nc kind_movable in
+  Array.iteri
+    (fun i (c : Types.cell) -> I8.set kind i (code_of_kind c.Types.c_kind))
+    d.Design.cells;
+  let blit_ids ids dst off =
+    I32.blit_array ids ~src_off:0 dst ~dst_off:off ~len:(Array.length ids)
+  in
+  let cell_pin_off, cell_pin =
+    csr nc
+      ~len:(fun i -> Array.length d.Design.cells.(i).Types.c_pins)
+      ~fill:(fun i -> blit_ids d.Design.cells.(i).Types.c_pins)
+  in
+  let net_pin_off, net_pin =
+    csr nn
+      ~len:(fun n -> Array.length d.Design.nets.(n).Types.n_pins)
+      ~fill:(fun n -> blit_ids d.Design.nets.(n).Types.n_pins)
+  in
+  let pin_cell = I32.make (max 1 np) 0 in
+  let pin_net = I32.make (max 1 np) (-1) in
+  let pin_dir = I8.make (max 1 np) (code_of_dir Types.Inout) in
+  let pin_dx = F64.make (max 1 np) 0.0 in
+  let pin_dy = F64.make (max 1 np) 0.0 in
+  for p = 0 to np - 1 do
+    let pin = d.Design.pins.(p) in
+    I32.set pin_cell p pin.Types.p_cell;
+    I32.set pin_net p pin.Types.p_net;
+    I8.set pin_dir p (code_of_dir pin.Types.p_dir);
+    F64.set pin_dx p pin.Types.p_dx;
+    F64.set pin_dy p pin.Types.p_dy
+  done;
+  let cell f = Array.map f d.Design.cells and net f = Array.map f d.Design.nets in
+  let cell_master = cell (fun c -> Dpp_util.Strpool.intern pool c.Types.c_master) in
+  let net_name = net (fun n -> Dpp_util.Strpool.intern pool n.Types.n_name) in
+  (* the coordinate and orientation arrays are ALIASED, not copied: the
+     flat view and the record view always agree on live placement state,
+     so in-place moves (flip, apply_centers) need no synchronization *)
+  make ~name:d.Design.name ~die:d.Design.die ~row_height:d.Design.row_height
+    ~site_width:d.Design.site_width ~num_rows:d.Design.num_rows
+    ~cell_name:(cell (fun c -> c.Types.c_name))
+    ~cell_master
+    ~width:(cell (fun c -> c.Types.c_width))
+    ~height:(cell (fun c -> c.Types.c_height))
+    ~kind ~x:d.Design.x ~y:d.Design.y ~orient:d.Design.orient ~cell_pin_off ~cell_pin ~net_name
+    ~net_weight:(net (fun n -> n.Types.n_weight))
+    ~net_pin_off ~net_pin ~pin_cell ~pin_net ~pin_dir ~pin_dx ~pin_dy ~groups:d.Design.groups
 
 let to_design t =
   let cells =

@@ -8,17 +8,21 @@
     boxed {!Types.cell}/{!Types.net}/{!Types.pin} records stay the
     canonical {e construction and I/O} representation ({!Builder},
     {!Bookshelf}, {!Validate}, the oracles); a [Soa.t] is derived from a
-    {!Design.t} once per flow and kept authoritative from then on.
+    {!Design.t} once per flow and kept authoritative from then on.  The
+    coarse netlists of multilevel placement exist only as [Soa.t]s.
 
     {2 Who takes a [Soa.t]}
 
     The place and structure layers (QP, legalization, detail, flip, the
-    group builders, snapping) take this view, or the pin view / netbox
-    over it, as their only netlist.  Extraction, coarsening, the density
-    grid, RUDY and STA still take a {!Design.t} (the repository benchmark
-    calls them), and GP keeps one only to feed them; the legality and
-    checkpoint oracles read the records on purpose, independently of the
-    view they audit.
+    group builders, snapping) and multilevel GP take this view, or the
+    pin view / netbox over it, as their only netlist: coarsening builds
+    every coarse level as a [Soa.t] through {!make}, and GP, the density
+    grid, the bell potential, overflow and RUDY read the flat core.
+    Extraction and STA still take a {!Design.t}; a few [Design.t]
+    adapters over the flat entry points remain only because the
+    repository benchmark calls them.  The legality and checkpoint
+    oracles read the records on purpose, independently of the view they
+    audit.
 
     {2 Compact backing}
 
@@ -106,6 +110,32 @@ type t = {
   cell_net : Dpp_util.Compact.I32.t;  (** distinct nets per cell, ascending *)
   groups : Groups.t list;
 }
+
+val make :
+  name:string -> die:Dpp_geom.Rect.t -> row_height:float -> site_width:float -> num_rows:int ->
+  cell_name:string array -> cell_master:string array -> width:float array ->
+  height:float array -> kind:Dpp_util.Compact.I8.t ->
+  x:float array -> y:float array -> orient:Dpp_geom.Orient.t array ->
+  cell_pin_off:Dpp_util.Compact.I32.t -> cell_pin:Dpp_util.Compact.I32.t ->
+  net_name:string array -> net_weight:float array ->
+  net_pin_off:Dpp_util.Compact.I32.t -> net_pin:Dpp_util.Compact.I32.t ->
+  pin_cell:Dpp_util.Compact.I32.t -> pin_net:Dpp_util.Compact.I32.t ->
+  pin_dir:Dpp_util.Compact.I8.t -> pin_dx:Dpp_util.Compact.F64.t -> pin_dy:Dpp_util.Compact.F64.t ->
+  groups:Groups.t list ->
+  t
+(** The one constructor: adopts the given arrays as the fields of the
+    same name (none is copied), takes the counts from [width],
+    [net_weight] and [cell_pin_off], and derives the deduplicated
+    adjacency.  {!of_design} and the coarse levels of
+    {!Dpp_coarsen} both build through it. *)
+
+val csr :
+  int ->
+  len:(int -> int) ->
+  fill:(int -> Dpp_util.Compact.I32.t -> int -> unit) ->
+  Dpp_util.Compact.I32.t * Dpp_util.Compact.I32.t
+(** [csr n ~len ~fill] is a CSR [(offsets, payload)] of [n] rows: row [i]
+    holds [len i] ids, which [fill i payload off] writes from [off]. *)
 
 val of_design : Design.t -> t
 (** Derive the flat view, deduplicated adjacency included.

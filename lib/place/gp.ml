@@ -1,4 +1,3 @@
-module Design = Dpp_netlist.Design
 module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Pins = Dpp_wirelen.Pins
@@ -75,6 +74,13 @@ type rt_round = {
   rt_budget : float;
 }
 
+type stop_reason = Target_reached | Stalled | Round_cap
+
+let stop_reason_to_string = function
+  | Target_reached -> "target_reached"
+  | Stalled -> "stalled"
+  | Round_cap -> "round_cap"
+
 type result = {
   cx : float array;
   cy : float array;
@@ -82,12 +88,13 @@ type result = {
   final_overflow : float;
   final_hpwl : float;
   rt_trace : rt_round list;
+  stop : stop_reason;
 }
 
 let grad_l1 g = Array.fold_left (fun acc v -> acc +. abs_float v) 0.0 g
 
-let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pins : Pins.t)
-    (d : Design.t) cfg ~cx ~cy =
+let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pins : Pins.t) cfg
+    ~cx ~cy =
   let soa = pins.Pins.soa in
   let die = soa.Soa.die in
   let nc = Soa.num_cells soa in
@@ -119,8 +126,8 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
   in
   let m = Array.length movable_free in
   let nvar = m + ng in
-  let nx, ny = match cfg.grid with Some (nx, ny) -> nx, ny | None -> Grid.default_dims d in
-  let grid = Grid.build ~extra_obstacles d ~nx ~ny in
+  let nx, ny = match cfg.grid with Some (nx, ny) -> nx, ny | None -> Grid.dims_of_soa soa in
+  let grid = Grid.of_soa ~extra_obstacles soa ~nx ~ny in
   (* An unreachable density target makes lambda escalate until wirelength
      is destroyed: clamp the target to the actual utilization plus slack.
      Rigid-group members still spread (they move with their macro), so
@@ -401,7 +408,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
   let problem = { Nlcg.n = 2 * nvar; eval; grad; eval_grad = Some eval_grad } in
   let v = ref v0 in
   let trace = ref [] in
-  let stop = ref false in
+  let stop = ref None in
   let round = ref 0 in
   let final_overflow = ref infinity in
   (* Best-seen tracking with a scalarized score: the legalizer can absorb
@@ -439,7 +446,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
   in
   (* post-solve RUDY measurement — every round when routability is on *)
   let rt_measure () =
-    let r = Rudy.compute ~pool ?arena ~pins d ~cx:wx ~cy:wy in
+    let r = Rudy.of_pins ~pool ?arena pins ~cx:wx ~cy:wy in
     r, Rudy.stats r
   in
   (* steering: refresh the fixed congestion field, update the inflation
@@ -512,7 +519,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
       }
       :: !rt_trace
   in
-  while (not !stop) && !round < cfg.rounds do
+  while !stop = None && !round < cfg.rounds do
     incr round;
     let options =
       {
@@ -532,7 +539,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
        overflow budget and stop the loop while the glue is still clumped.
        Their current footprints become obstacles for the measurement. *)
     let overflow =
-      if ng = 0 then Overflow.total_overflow ~frozen d grid ~target_density ~cx:wx ~cy:wy
+      if ng = 0 then Overflow.total_overflow ~frozen soa grid ~target_density ~cx:wx ~cy:wy
       else begin
         let array_rects =
           Array.to_list
@@ -543,9 +550,9 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
                    ~yh:(oy +. dg.Dgroup.height))
                rigid)
         in
-        let grid_eval = Grid.build ~extra_obstacles:(extra_obstacles @ array_rects) d ~nx ~ny in
+        let grid_eval = Grid.of_soa ~extra_obstacles:(extra_obstacles @ array_rects) soa ~nx ~ny in
         let frozen_eval i = frozen i || member_of.(i) >= 0 in
-        Overflow.total_overflow ~frozen:frozen_eval d grid_eval ~target_density ~cx:wx ~cy:wy
+        Overflow.total_overflow ~frozen:frozen_eval soa grid_eval ~target_density ~cx:wx ~cy:wy
       end
     in
     let hpwl = Hpwl.total pins ~cx:wx ~cy:wy in
@@ -585,7 +592,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
     if
       (overflow <= cfg.overflow_target || !stagnant >= 4)
       && ((not congested) || !rt_stall >= 3)
-    then stop := true
+    then stop := Some (if overflow <= cfg.overflow_target then Target_reached else Stalled)
     else begin
       if overflow > cfg.overflow_target then begin
         lambda := !lambda *. cfg.lambda_mult;
@@ -619,6 +626,7 @@ let run ?arena ?on_round ?(frozen = fun _ -> false) ?(extra_obstacles = []) ~(pi
     final_overflow = (if !best_score = infinity then !final_overflow else !best_ovf);
     final_hpwl = Hpwl.total pins ~cx:wx ~cy:wy;
     rt_trace = List.rev !rt_trace;
+    stop = Option.value !stop ~default:Round_cap;
   }
 
 (* ----- multilevel V-cycle ----- *)
@@ -654,10 +662,10 @@ let coarse_config cfg =
    cold start — this is where the multilevel speedup comes from. *)
 let refine_config cfg = { cfg with rounds = min cfg.rounds (max 4 (cfg.rounds / 3)) }
 
-let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
-    ~(levels : Dpp_coarsen.level list) ~cx ~cy =
+let run_multilevel ?arena ?on_round ?on_level ~pins cfg ~(levels : Dpp_coarsen.level list) ~cx
+    ~cy =
   match levels with
-  | [] -> { result = run ?arena ?on_round ~pins d cfg ~cx ~cy; level_trace = [] }
+  | [] -> { result = run ?arena ?on_round ~pins cfg ~cx ~cy; level_trace = [] }
   | levels ->
     let larr = Array.of_list levels in
     let nl = Array.length larr in
@@ -677,14 +685,13 @@ let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
       let name = Printf.sprintf "L%d" (k + 1) in
       let r =
         Dpp_util.Timer.time timer name (fun () ->
-            (* each coarse netlist gets its own views, derived here once *)
-            let pins = Pins.of_soa (Soa.of_design coarse) in
-            run ~pins coarse (coarse_config cfg) ~cx:ccx ~cy:ccy)
+            (* each coarse level gets its own pin view, built here once *)
+            run ~pins:(Pins.of_soa coarse) (coarse_config cfg) ~cx:ccx ~cy:ccy)
       in
       let info =
         {
           level = k + 1;
-          movables = Array.length (Design.movable_ids coarse);
+          movables = Array.length (Soa.movable_ids coarse);
           rounds_run = List.length r.trace;
           hpwl = r.final_hpwl;
           overflow = r.final_overflow;
@@ -700,5 +707,5 @@ let run_multilevel ?arena ?on_round ?on_level ~pins (d : Design.t) cfg
     (* only the flat refinement shares the arena: the coarse levels all
        have different sizes, so recycling across them would just thrash
        the buffers (their views are also per-level by construction) *)
-    let r = run ?arena ?on_round ~pins d (refine_config cfg) ~cx:fcx ~cy:fcy in
+    let r = run ?arena ?on_round ~pins (refine_config cfg) ~cx:fcx ~cy:fcy in
     { result = r; level_trace = !trace }

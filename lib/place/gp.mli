@@ -87,6 +87,19 @@ type rt_round = {
   rt_budget : float;  (** the budget [rt_virtual] is clamped under *)
 }
 
+(** Why the outer loop ended. *)
+type stop_reason =
+  | Target_reached  (** exact overflow at or below [overflow_target] *)
+  | Stalled
+      (** overflow above the target but no longer falling: four
+          consecutive rounds each kept more than 98% of the previous
+          round's overflow *)
+  | Round_cap  (** [rounds] outer rounds ran without either *)
+
+val stop_reason_to_string : stop_reason -> string
+(** ["target_reached"], ["stalled"] or ["round_cap"] — the trace's
+    spelling. *)
+
 type result = {
   cx : float array;
   cy : float array;
@@ -101,6 +114,9 @@ type result = {
           [rt_best] envelope is non-increasing across entries — the
           inflate/retry loop's monotonicity contract, checked by
           [Check.rt_ledger]. *)
+  stop : stop_reason;
+      (** how the loop ended; with routability on, a density stop also
+          waits for the congestion loop to clear or stall *)
 }
 
 val run :
@@ -109,7 +125,6 @@ val run :
   ?frozen:(int -> bool) ->
   ?extra_obstacles:Dpp_geom.Rect.t list ->
   pins:Dpp_wirelen.Pins.t ->
-  Dpp_netlist.Design.t ->
   config ->
   cx:float array ->
   cy:float array ->
@@ -117,8 +132,8 @@ val run :
 (** [cx]/[cy] provide the start (typically {!Qp.run} output); they are not
     modified.
 
-    [pins] is the pin view of [d] and carries every netlist read; [d]
-    only feeds the density grid, overflow and RUDY.  [arena] recycles the
+    [pins] and its flat core carry every netlist read: wirelength,
+    the density grid and bell potential, overflow and RUDY.  [arena] recycles the
     working buffers — gradient banks, NLCG vectors, RUDY grids — so the
     round loop does no steady-state allocation; the result's [cx]/[cy]
     then live in the arena and stay valid only until the next [run]
@@ -141,20 +156,20 @@ val run_multilevel :
   ?on_round:(round_info -> unit) ->
   ?on_level:(level_info -> unit) ->
   pins:Dpp_wirelen.Pins.t ->
-  Dpp_netlist.Design.t ->
   config ->
   levels:Dpp_coarsen.level list ->
   cx:float array ->
   cy:float array ->
   ml_result
-(** Multilevel V-cycle over a {!Dpp_coarsen.build} hierarchy: restrict
+(** Multilevel V-cycle over a {!Dpp_coarsen.of_soa} hierarchy built on
+    [pins]'s flat core: restrict
     the start up to the coarsest level (area-weighted cluster centroids),
     solve each level coarsest-first with a reduced config (halved inner
     iterations, loosened overflow target, per-level density grids, no
     group machinery — group clusters are single cells there), interpolate
     cluster centers down (group slices re-seeded in bit order), and
-    finish with a short flat refinement of the full config on [d]; each
-    coarse level derives its own views.  With [levels = []] this is
+    finish with a short flat refinement of the full config on [pins]; each
+    coarse level's pin view is [Pins.of_soa level.coarse].  With [levels = []] this is
     exactly {!run}.  [routability] stays in
     force at every level: each per-level solve re-derives its inflation
     and congestion field from its own coarse netlist's RUDY map and

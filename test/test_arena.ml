@@ -75,7 +75,7 @@ let gp_cfg = { Gp.default_config with Gp.rounds = 5; inner_iters = 15 }
 
 let run_gp ?arena d =
   let qp = Qp.run (Dpp_netlist.Soa.of_design d) in
-  let r = Gp.run ?arena ~pins:(Pins.build d) d gp_cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let r = Gp.run ?arena ~pins:(Pins.build d) gp_cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   (* arena-backed results alias arena buffers: snapshot before reuse *)
   Array.copy r.Gp.cx, Array.copy r.Gp.cy, r.Gp.final_hpwl
 
@@ -115,11 +115,12 @@ let test_gp_arena_fuzz () =
 let test_rudy_arena_identity () =
   let d = Tutil.random_design ~cells:30 ~nets:40 7 in
   let cx, cy = Pins.centers_of_design d in
-  let fresh = Rudy.compute d ~cx ~cy in
+  let pins = Pins.build d in
+  let fresh = Rudy.of_pins pins ~cx ~cy in
   let arena = Arena.create () in
-  let a1 = Rudy.compute ~arena d ~cx ~cy in
+  let a1 = Rudy.of_pins ~arena pins ~cx ~cy in
   eq_arr "first arena demand" fresh.Rudy.demand a1.Rudy.demand;
-  let a2 = Rudy.compute ~arena d ~cx ~cy in
+  let a2 = Rudy.of_pins ~arena pins ~cx ~cy in
   eq_arr "recycled arena demand" fresh.Rudy.demand a2.Rudy.demand;
   Alcotest.(check bool) "grid recycled" true (Arena.hits arena > 0)
 

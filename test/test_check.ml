@@ -41,11 +41,6 @@ let final_coords (r : Flow.result) = Pins.centers_of_design r.Flow.design
 
 let violation_strings vs = Check.Violation.strings vs
 
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
-  n = 0 || at 0
-
 (* ----- legality oracle ----- *)
 
 let test_legal_clean () =
@@ -73,7 +68,7 @@ let test_legal_detects_injected_overlap () =
   Alcotest.(check bool) "overlap reported" true (vs <> []);
   let rendered = String.concat "\n" (violation_strings vs) in
   let name i = (Design.cell d i).Types.c_name in
-  let mentions n = contains ~sub:n rendered in
+  let mentions n = Tutil.contains ~sub:n rendered in
   Alcotest.(check bool)
     (Printf.sprintf "report names the cells (%s, %s)" (name a) (name b))
     true
@@ -159,8 +154,8 @@ let test_validate_oracle_names () =
   Alcotest.(check bool) "fixed cell in a group is an error" true (vs <> []);
   let rendered = String.concat "\n" (violation_strings vs) in
   Alcotest.(check bool) "report names the cell (alpha), not an index" true
-    (contains ~sub:"alpha" rendered);
-  Alcotest.(check bool) "report names the group" true (contains ~sub:"group g0" rendered)
+    (Tutil.contains ~sub:"alpha" rendered);
+  Alcotest.(check bool) "report names the group" true (Tutil.contains ~sub:"group g0" rendered)
 
 (* ----- bookshelf round-trip oracle ----- *)
 

@@ -27,7 +27,7 @@ let test_rudy_mass () =
      density (w+h)/(w*h) times box area w*h = w + h (the half-perimeter) *)
   let d = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d) ~cx ~cy in
   let total =
     Array.fold_left ( +. ) 0.0 r.Rudy.demand *. r.Rudy.bin_w *. r.Rudy.bin_h
   in
@@ -37,7 +37,7 @@ let test_rudy_mass () =
 let test_rudy_localized () =
   let d = net_design 10.0 20.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d) ~cx ~cy in
   (* all demand inside the net's bbox rows: y in [44,46] -> bin row 4 *)
   for iy = 0 to 9 do
     for ix = 0 to 9 do
@@ -49,7 +49,7 @@ let test_rudy_localized () =
 let test_rudy_stats () =
   let d = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d) ~cx ~cy in
   let s = Rudy.stats r in
   Alcotest.(check bool) "max >= p95 >= avg" true
     (s.Rudy.max_ratio >= s.Rudy.p95_ratio && s.Rudy.p95_ratio >= s.Rudy.avg_ratio);
@@ -59,7 +59,7 @@ let test_rudy_stats () =
 let test_rudy_hotspots () =
   let d = net_design 10.0 15.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d) ~cx ~cy in
   match Rudy.hotspots r ~count:3 with
   | (ix, iy, ratio) :: _ ->
     Alcotest.(check bool) "hottest is where the net is" true (iy = 4 && ix <= 2);
@@ -73,14 +73,15 @@ let test_rudy_placement_sensitivity () =
   let d = Dpp_gen.Compose.build (List.nth Dpp_gen.Presets.suite 4) in
   let qp = Dpp_place.Qp.run ~seed:1 (Dpp_netlist.Soa.of_design d) in
   let gp =
-    Dpp_place.Gp.run ~pins:(Pins.build d) d Dpp_place.Gp.default_config ~cx:qp.Dpp_place.Qp.cx
+    Dpp_place.Gp.run ~pins:(Pins.build d) Dpp_place.Gp.default_config ~cx:qp.Dpp_place.Qp.cx
       ~cy:qp.Dpp_place.Qp.cy
   in
   let pins = Pins.build d in
   let hp_qp = Dpp_wirelen.Hpwl.total pins ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
   let hp_gp = Dpp_wirelen.Hpwl.total pins ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy in
-  let s_qp = Rudy.stats (Rudy.compute ~nx:16 ~ny:16 d ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy) in
-  let s_gp = Rudy.stats (Rudy.compute ~nx:16 ~ny:16 d ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy) in
+  let rudy_stats ~cx ~cy = Rudy.stats (Rudy.of_pins ~nx:16 ~ny:16 pins ~cx ~cy) in
+  let s_qp = rudy_stats ~cx:qp.Dpp_place.Qp.cx ~cy:qp.Dpp_place.Qp.cy in
+  let s_gp = rudy_stats ~cx:gp.Dpp_place.Gp.cx ~cy:gp.Dpp_place.Gp.cy in
   let ordered = (hp_qp <= hp_gp) = (s_qp.Rudy.avg_ratio <= s_gp.Rudy.avg_ratio +. 1e-6) in
   Alcotest.(check bool) "average demand tracks wirelength" true ordered
 
@@ -91,7 +92,7 @@ let test_rudy_mass_grid_invariant () =
   let cx, cy = Pins.centers_of_design d in
   List.iter
     (fun (nx, ny) ->
-      let r = Rudy.compute ~nx ~ny d ~cx ~cy in
+      let r = Rudy.of_pins ~nx ~ny (Pins.build d) ~cx ~cy in
       let total =
         Array.fold_left ( +. ) 0.0 r.Rudy.demand *. r.Rudy.bin_w *. r.Rudy.bin_h
       in
@@ -104,10 +105,10 @@ let test_rudy_translation_invariance () =
   let d = net_design 10.0 30.0 in
   let cx, cy = Pins.centers_of_design d in
   let nx = 10 and ny = 10 in
-  let r1 = Rudy.compute ~nx ~ny d ~cx ~cy in
+  let r1 = Rudy.of_pins ~nx ~ny (Pins.build d) ~cx ~cy in
   let sx = 2.0 *. r1.Rudy.bin_w and sy = 3.0 *. r1.Rudy.bin_h in
   let r2 =
-    Rudy.compute ~nx ~ny d
+    Rudy.of_pins ~nx ~ny (Pins.build d)
       ~cx:(Array.map (fun x -> x +. sx) cx)
       ~cy:(Array.map (fun y -> y +. sy) cy)
   in
@@ -125,12 +126,12 @@ let test_rudy_pooled_equivalence () =
      and agrees with the serial scatter to rounding *)
   let d = Dpp_gen.Channel.build ~pairs:40 () in
   let cx, cy = Pins.centers_of_design d in
-  let serial = Rudy.compute ~nx:16 ~ny:16 d ~cx ~cy in
+  let serial = Rudy.of_pins ~nx:16 ~ny:16 (Pins.build d) ~cx ~cy in
   let pooled =
     List.map
       (fun w ->
         Dpp_par.Pool.with_pool ~nworkers:w @@ fun pool ->
-        (Rudy.compute ~pool ~nx:16 ~ny:16 d ~cx ~cy).Rudy.demand)
+        (Rudy.of_pins ~pool ~nx:16 ~ny:16 (Pins.build d) ~cx ~cy).Rudy.demand)
       [ 1; 2; 4; 8 ]
   in
   let base = List.hd pooled in
@@ -171,7 +172,7 @@ let test_rudy_two_net_fixture () =
   ignore (Builder.add_net b ~weight:2.0 [ p0'; p2 ]);
   let d = Builder.finish b in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:10 ~ny:10 d ~cx ~cy in
+  let r = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d) ~cx ~cy in
   let da = 1.0 *. (50.0 +. 1.0) /. (50.0 *. 1.0) in
   let db = 2.0 *. (1.0 +. 30.0) /. (1.0 *. 30.0) in
   let at ix iy = r.Rudy.demand.((iy * 10) + ix) in
@@ -193,14 +194,14 @@ let test_rudy_degenerate_grids () =
      zero-extent die falls back to unit bins — both stay finite *)
   let d = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d in
-  let r = Rudy.compute ~nx:0 ~ny:(-3) d ~cx ~cy in
+  let r = Rudy.of_pins ~nx:0 ~ny:(-3) (Pins.build d) ~cx ~cy in
   Alcotest.(check int) "collapsed nx" 1 r.Rudy.nx;
   Alcotest.(check int) "collapsed ny" 1 r.Rudy.ny;
   check_float "single-bin volume" 51.0 (r.Rudy.demand.(0) *. r.Rudy.bin_w *. r.Rudy.bin_h);
   let flat =
     { d with Dpp_netlist.Design.die = Rect.make ~xl:0.0 ~yl:40.0 ~xh:100.0 ~yh:40.0 }
   in
-  let r = Rudy.compute ~nx:10 ~ny:10 flat ~cx ~cy in
+  let r = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build flat) ~cx ~cy in
   check_float "zero-height die: unit bin" 1.0 r.Rudy.bin_h;
   Array.iter
     (fun v ->
@@ -214,13 +215,13 @@ let test_rudy_degenerate_grids () =
 let test_rudy_weight_scales () =
   let d1 = net_design 10.0 60.0 in
   let cx, cy = Pins.centers_of_design d1 in
-  let r1 = Rudy.compute ~nx:10 ~ny:10 d1 ~cx ~cy in
+  let r1 = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d1) ~cx ~cy in
   (* double the net weight: total demand doubles *)
   let nets =
     Array.map (fun (n : Types.net) -> { n with Types.n_weight = 2.0 }) d1.Dpp_netlist.Design.nets
   in
   let d2 = { d1 with Dpp_netlist.Design.nets } in
-  let r2 = Rudy.compute ~nx:10 ~ny:10 d2 ~cx ~cy in
+  let r2 = Rudy.of_pins ~nx:10 ~ny:10 (Pins.build d2) ~cx ~cy in
   let tot r = Array.fold_left ( +. ) 0.0 r.Rudy.demand in
   check_float "weight scales demand" (2.0 *. tot r1) (tot r2)
 

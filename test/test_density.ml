@@ -1,5 +1,6 @@
 (* Tests for Dpp_density: Grid, Bell potential, Overflow. *)
 
+module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
 module Builder = Dpp_netlist.Builder
@@ -46,7 +47,7 @@ let test_theta_deriv_fd () =
 
 let test_grid_capacity () =
   let d = Tutil.random_design ~cells:6 ~nets:4 3 in
-  let g = Grid.build d ~nx:4 ~ny:3 in
+  let g = Grid.of_soa (Soa.of_design d) ~nx:4 ~ny:3 in
   check_float "full capacity without fixed" (Rect.area d.Design.die) (Grid.total_capacity g)
 
 let test_grid_fixed_subtraction () =
@@ -55,21 +56,22 @@ let test_grid_fixed_subtraction () =
   let f = Builder.add_cell b ~name:"blk" ~master:"M" ~w:10.0 ~h:10.0 ~kind:Types.Fixed in
   Builder.set_position b f ~x:0.0 ~y:0.0;
   let d = Builder.finish b in
-  let g = Grid.build d ~nx:4 ~ny:2 in
+  let g = Grid.of_soa (Soa.of_design d) ~nx:4 ~ny:2 in
   check_float "blocked bin" 0.0 g.Grid.capacity.(0);
   check_float "free bin untouched" 100.0 g.Grid.capacity.(1);
   check_float "total reduced" 700.0 (Grid.total_capacity g)
 
 let test_grid_extra_obstacles () =
   let d = Tutil.random_design ~cells:4 ~nets:2 4 in
-  let full = Grid.total_capacity (Grid.build d ~nx:4 ~ny:4) in
+  let soa = Soa.of_design d in
+  let full = Grid.total_capacity (Grid.of_soa soa ~nx:4 ~ny:4) in
   let ob = Rect.make ~xl:0.0 ~yl:0.0 ~xh:10.0 ~yh:10.0 in
-  let g = Grid.build ~extra_obstacles:[ ob ] d ~nx:4 ~ny:4 in
+  let g = Grid.of_soa ~extra_obstacles:[ ob ] soa ~nx:4 ~ny:4 in
   check_float "obstacle subtracted" (full -. 100.0) (Grid.total_capacity g)
 
 let test_grid_indexing () =
   let d = Tutil.random_design 5 in
-  let g = Grid.build d ~nx:6 ~ny:6 in
+  let g = Grid.of_soa (Soa.of_design d) ~nx:6 ~ny:6 in
   Alcotest.(check int) "ix clamps" 5 (Grid.ix_of_x g 1e9);
   Alcotest.(check int) "ix clamps low" 0 (Grid.ix_of_x g (-1e9));
   let r = Grid.bin_rect g ~ix:2 ~iy:3 in
@@ -81,8 +83,9 @@ let test_grid_indexing () =
 let test_bell_mass_conservation () =
   (* the smoothed field should carry roughly the movable area *)
   let d = Tutil.random_design ~cells:15 ~nets:8 ~die_w:80.0 ~die_rows:8 7 in
-  let g = Grid.build d ~nx:10 ~ny:10 in
-  let bell = Bell.create d ~grid:g ~target_density:1.0 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:10 ~ny:10 in
+  let bell = Bell.of_soa soa ~grid:g ~target_density:1.0 in
   let cx, cy = Pins.centers_of_design d in
   let phi = Bell.bin_potential bell ~cx ~cy in
   let total = Array.fold_left ( +. ) 0.0 phi in
@@ -93,8 +96,9 @@ let test_bell_gradient_fd () =
   List.iter
     (fun seed ->
       let d = Tutil.random_design ~cells:8 ~nets:5 seed in
-      let g = Grid.build d ~nx:6 ~ny:6 in
-      let bell = Bell.create d ~grid:g ~target_density:0.9 in
+      let soa = Soa.of_design d in
+      let g = Grid.of_soa soa ~nx:6 ~ny:6 in
+      let bell = Bell.of_soa soa ~grid:g ~target_density:0.9 in
       let err =
         Tutil.gradient_error d ~value_grad:(fun ~cx ~cy ~gx ~gy ->
             Bell.value_grad bell ~cx ~cy ~gx ~gy)
@@ -104,16 +108,18 @@ let test_bell_gradient_fd () =
 
 let test_bell_value_positive () =
   let d = Tutil.random_design 9 in
-  let g = Grid.build d ~nx:8 ~ny:8 in
-  let bell = Bell.create d ~grid:g ~target_density:0.9 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:8 ~ny:8 in
+  let bell = Bell.of_soa soa ~grid:g ~target_density:0.9 in
   let cx, cy = Pins.centers_of_design d in
   Alcotest.(check bool) "nonnegative" true (Bell.value bell ~cx ~cy >= 0.0)
 
 let test_bell_spreading_reduces_penalty () =
   (* piling every cell on one spot must cost more than scattering them *)
   let d = Tutil.random_design ~cells:12 ~nets:6 ~die_w:80.0 ~die_rows:8 11 in
-  let g = Grid.build d ~nx:8 ~ny:8 in
-  let bell = Bell.create d ~grid:g ~target_density:0.9 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:8 ~ny:8 in
+  let bell = Bell.of_soa soa ~grid:g ~target_density:0.9 in
   let cx, cy = Pins.centers_of_design d in
   let spread = Bell.value bell ~cx ~cy in
   let piled_x = Array.map (fun _ -> 40.0) cx in
@@ -123,9 +129,10 @@ let test_bell_spreading_reduces_penalty () =
 
 let test_bell_frozen_excluded () =
   let d = Tutil.random_design ~cells:8 ~nets:4 13 in
-  let g = Grid.build d ~nx:6 ~ny:6 in
-  let bell_all = Bell.create d ~grid:g ~target_density:1.0 in
-  let bell_frozen = Bell.create ~frozen:(fun i -> i < 4) d ~grid:g ~target_density:1.0 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:6 ~ny:6 in
+  let bell_all = Bell.of_soa soa ~grid:g ~target_density:1.0 in
+  let bell_frozen = Bell.of_soa ~frozen:(fun i -> i < 4) soa ~grid:g ~target_density:1.0 in
   let cx, cy = Pins.centers_of_design d in
   let phi_all = Array.fold_left ( +. ) 0.0 (Bell.bin_potential bell_all ~cx ~cy) in
   let phi_frozen = Array.fold_left ( +. ) 0.0 (Bell.bin_potential bell_frozen ~cx ~cy) in
@@ -142,14 +149,15 @@ let test_overflow_exact () =
   Builder.set_position b c1 ~x:0.0 ~y:0.0;
   (* both cells on bin (0,0) of a 2x2 grid *)
   let d = Builder.finish b in
-  let g = Grid.build d ~nx:2 ~ny:2 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:2 ~ny:2 in
   let cx, cy = Pins.centers_of_design d in
-  let usage = Overflow.bin_usage d g ~cx ~cy in
+  let usage = Overflow.bin_usage soa g ~cx ~cy in
   check_float "bin usage" 200.0 usage.(0);
   check_float "other bins empty" 0.0 usage.(1);
   (* capacity 100/bin at target 1.0: overflow = 100 over area 200 *)
-  check_float "overflow" 0.5 (Overflow.total_overflow d g ~target_density:1.0 ~cx ~cy);
-  check_float "max density" 2.0 (Overflow.max_density d g ~cx ~cy)
+  check_float "overflow" 0.5 (Overflow.total_overflow soa g ~target_density:1.0 ~cx ~cy);
+  check_float "max density" 2.0 (Overflow.max_density soa g ~cx ~cy)
 
 let test_overflow_zero_when_spread () =
   let die = Rect.make ~xl:0.0 ~yl:0.0 ~xh:20.0 ~yh:20.0 in
@@ -159,16 +167,18 @@ let test_overflow_zero_when_spread () =
   Builder.set_position b c0 ~x:0.0 ~y:0.0;
   Builder.set_position b c1 ~x:10.0 ~y:10.0;
   let d = Builder.finish b in
-  let g = Grid.build d ~nx:2 ~ny:2 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:2 ~ny:2 in
   let cx, cy = Pins.centers_of_design d in
-  check_float "no overflow" 0.0 (Overflow.total_overflow d g ~target_density:1.0 ~cx ~cy)
+  check_float "no overflow" 0.0 (Overflow.total_overflow soa g ~target_density:1.0 ~cx ~cy)
 
 let test_overflow_frozen () =
   let d = Tutil.random_design ~cells:8 15 in
-  let g = Grid.build d ~nx:4 ~ny:4 in
+  let soa = Soa.of_design d in
+  let g = Grid.of_soa soa ~nx:4 ~ny:4 in
   let cx, cy = Pins.centers_of_design d in
-  let all = Overflow.bin_usage d g ~cx ~cy in
-  let fr = Overflow.bin_usage ~frozen:(fun _ -> true) d g ~cx ~cy in
+  let all = Overflow.bin_usage soa g ~cx ~cy in
+  let fr = Overflow.bin_usage ~frozen:(fun _ -> true) soa g ~cx ~cy in
   Alcotest.(check bool) "all frozen means empty" true (Array.for_all (fun v -> v = 0.0) fr);
   Alcotest.(check bool) "some usage otherwise" true (Array.exists (fun v -> v > 0.0) all)
 
@@ -180,8 +190,9 @@ let test_overflow_frozen () =
    one frozen. *)
 let test_overflow_matches_rect_reference () =
   let d = Lazy.force Tutil.xl10k in
-  let nx, ny = Grid.default_dims d in
-  let g = Grid.build d ~nx ~ny in
+  let soa = Soa.of_design d in
+  let nx, ny = Grid.dims_of_soa soa in
+  let g = Grid.of_soa soa ~nx ~ny in
   let cx, cy = Pins.centers_of_design d in
   let rng = Dpp_util.Rng.create 5 in
   let jitter = 0.05 *. Rect.width d.Design.die in
@@ -216,7 +227,7 @@ let test_overflow_matches_rect_reference () =
         done
       end)
     (Design.movable_ids d);
-  let got = Overflow.bin_usage ~frozen d g ~cx ~cy in
+  let got = Overflow.bin_usage ~frozen soa g ~cx ~cy in
   let bits = Array.map Int64.bits_of_float in
   Alcotest.(check (array int64)) "usage bits" (bits usage) (bits got);
   let target_density = 0.9 in
@@ -228,7 +239,7 @@ let test_overflow_matches_rect_reference () =
     usage;
   let want = !over /. Design.movable_area d in
   Alcotest.(check int64) "overflow bits" (Int64.bits_of_float want)
-    (Int64.bits_of_float (Overflow.total_overflow ~frozen d g ~target_density ~cx ~cy))
+    (Int64.bits_of_float (Overflow.total_overflow ~frozen soa g ~target_density ~cx ~cy))
 
 (* Allocation gate, run under the default (dev, [-opaque]) build: the
    density kernels must not box a float or build a tuple per cell or bin.
@@ -239,13 +250,14 @@ let test_kernels_allocation_free () =
   let cx, cy = Pins.centers_of_design d in
   let n = Design.num_cells d in
   let gx = Array.make n 0.0 and gy = Array.make n 0.0 in
-  let nx, ny = Grid.default_dims d in
-  let grid = Grid.build d ~nx ~ny in
-  let bell = Bell.create d ~grid ~target_density:0.9 in
+  let soa = Soa.of_design d in
+  let nx, ny = Grid.dims_of_soa soa in
+  let grid = Grid.of_soa soa ~nx ~ny in
+  let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
   let gate name f = Tutil.check_kernel_alloc name (fun () -> ignore (f ())) in
   gate "Bell.value_grad" (fun () -> Bell.value_grad bell ~cx ~cy ~gx ~gy);
   gate "Overflow.total_overflow" (fun () ->
-      Overflow.total_overflow d grid ~target_density:0.9 ~cx ~cy);
+      Overflow.total_overflow soa grid ~target_density:0.9 ~cx ~cy);
   Dpp_par.Pool.with_pool ~nworkers:2 (fun pool ->
       let p = Bell.par_create bell in
       gate "Bell.par_value_grad" (fun () -> Bell.par_value_grad p pool ~cx ~cy ~gx ~gy))

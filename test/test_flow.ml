@@ -11,6 +11,10 @@ module Config = Dpp_core.Config
 module Flow = Dpp_core.Flow
 module Compose = Dpp_gen.Compose
 module Trace = Dpp_report.Trace
+module Json = Dpp_report.Json
+module Gp = Dpp_place.Gp
+module Ctx = Dpp_core.Ctx
+module Soa = Dpp_netlist.Soa
 module Snapshot = Dpp_core.Checkpoint.Snapshot
 
 let flow_design () =
@@ -216,8 +220,9 @@ let pl_digest (d : Design.t) =
   Unix.rmdir dir;
   hex
 
+let preset name = Compose.build (Option.get (Dpp_gen.Presets.by_name name))
+
 let test_placement_digests () =
-  let preset name = Compose.build (Option.get (Dpp_gen.Presets.by_name name)) in
   let cases =
     [
       ( "dp_add32 structure-aware",
@@ -239,6 +244,100 @@ let test_placement_digests () =
     (List.map (fun (name, _, _, expected) -> name, expected) cases)
     (List.map (fun (name, d, cfg, _) -> name, pl_digest (Flow.run d cfg).Flow.design) cases)
 
+(* Run the full flow and keep its context, captured before the first
+   stage. *)
+let run_with_ctx d cfg =
+  let ctx = ref None in
+  let r = Flow.run_stages ~prepare:(fun c -> ctx := Some c) ~stages:(Flow.stages cfg) d cfg in
+  r, Option.get !ctx
+
+(* A three-level V-cycle whose first level collapses datapath groups: the
+   constant was recorded by running this case on the code that still built
+   every coarse level as design records. *)
+let test_deep_hierarchy_digest () =
+  let cfg =
+    short_gp { Config.structure_aware with Config.multilevel = Config.Ml_on; ml_min_cells = 150 }
+  in
+  let r, ctx = run_with_ctx (preset "dp_mix_s") cfg in
+  let levels = ctx.Ctx.ml_levels in
+  Alcotest.(check bool)
+    (Printf.sprintf "at least two levels (%d)" (List.length levels))
+    true
+    (List.length levels >= 2);
+  Alcotest.(check bool) "at least one group cluster" true
+    (List.exists (fun (l : Dpp_coarsen.level) -> l.Dpp_coarsen.group_of <> []) levels);
+  Alcotest.(check string) "placed .pl digest" "0deeaf36bd44eb24ee8c320913e3b481"
+    (pl_digest r.Flow.design)
+
+let test_level0_is_ctx_soa () =
+  let cfg = short_gp { Config.baseline with Config.multilevel = Config.Ml_on } in
+  let _, ctx = run_with_ctx (preset "dp_mix_s") cfg in
+  match ctx.Ctx.ml_levels with
+  | [] -> Alcotest.fail "multilevel built no level"
+  | l0 :: _ ->
+    Alcotest.(check bool) "level 0 fine is the context's view" true
+      (l0.Dpp_coarsen.fine == ctx.Ctx.soa)
+
+(* ----- GP stop reasons -----
+
+   Each traced stop reason must agree with the run's own round series
+   ([Flow.result.trace], the final GP solve's rounds). *)
+
+let gp_extra (r : Flow.result) key =
+  let gp = List.find (fun (s : Trace.stage) -> s.Trace.name = "gp") r.Flow.stage_trace in
+  List.assoc_opt key gp.Trace.extra
+
+let check_stop (r : Flow.result) (cfg : Config.t) expected =
+  let rounds = r.Flow.trace in
+  let overflows = List.map (fun (ri : Gp.round_info) -> ri.Gp.overflow) rounds in
+  let last = List.nth overflows (List.length overflows - 1) in
+  let target = cfg.Config.overflow_target in
+  Alcotest.(check (option string)) "traced stop reason"
+    (Some (Gp.stop_reason_to_string expected))
+    (match gp_extra r "gp_stop" with Some (Json.Str s) -> Some s | _ -> None);
+  Alcotest.(check (option (float 0.0))) "traced target" (Some target)
+    (match gp_extra r "gp_overflow_target" with Some (Json.Num v) -> Some v | _ -> None);
+  Alcotest.(check (option (float 0.0))) "traced final overflow" (Some r.Flow.overflow_gp)
+    (match gp_extra r "gp_final_overflow" with Some (Json.Num v) -> Some v | _ -> None);
+  match expected with
+  | Gp.Target_reached ->
+    Alcotest.(check bool) (Printf.sprintf "last round %.4f <= target" last) true (last <= target)
+  | Gp.Stalled ->
+    Alcotest.(check bool) (Printf.sprintf "last round %.4f > target" last) true (last > target);
+    (* the last four rounds each kept more than 98% of the previous one *)
+    let n = List.length overflows in
+    Alcotest.(check bool) "at least five rounds" true (n >= 5);
+    List.iteri
+      (fun i ov ->
+        if i >= n - 4 then
+          Alcotest.(check bool)
+            (Printf.sprintf "round %d stagnant" (i + 1))
+            true
+            (ov > 0.98 *. List.nth overflows (i - 1)))
+      overflows
+  | Gp.Round_cap ->
+    Alcotest.(check bool) (Printf.sprintf "last round %.4f > target" last) true (last > target)
+
+let test_gp_stop_reasons () =
+  let base = Config.baseline in
+  let r = Flow.run (preset "rand_ctrl") base in
+  check_stop r base Gp.Target_reached;
+  let r = Flow.run (preset "dp_add32") base in
+  check_stop r base Gp.Stalled;
+  let capped = { base with Config.multilevel = Config.Ml_off; gp_rounds = 2 } in
+  let r = Flow.run (preset "dp_add32") capped in
+  check_stop r capped Gp.Round_cap;
+  Alcotest.(check int) "round cap ran every round" 2 (List.length r.Flow.trace);
+  Alcotest.(check bool) "flat run records no bypass" true (gp_extra r "ml_bypassed" = None)
+
+let test_ml_bypass_traced () =
+  (* PEKO nets are cell-disjoint, so coarsening falls back to flat GP *)
+  let pk, _ = Dpp_gen.Peko.build ~name:"peko_bypass" ~cells:2000 () in
+  let cfg = short_gp { Config.baseline with Config.multilevel = Config.Ml_on } in
+  let r, ctx = run_with_ctx pk cfg in
+  Alcotest.(check int) "no levels" 0 (List.length ctx.Ctx.ml_levels);
+  Alcotest.(check bool) "bypass traced" true (gp_extra r "ml_bypassed" = Some (Json.Bool true))
+
 let suite =
   [
     Alcotest.test_case "baseline legal" `Slow test_flow_baseline_legal;
@@ -255,4 +354,8 @@ let suite =
     Alcotest.test_case "resume after legal" `Slow test_flow_resume_after_legal;
     Alcotest.test_case "restore rejects bad spool" `Quick test_restore_rejects_bad_spool;
     Alcotest.test_case "placement digests" `Slow test_placement_digests;
+    Alcotest.test_case "placement digest deep hierarchy" `Slow test_deep_hierarchy_digest;
+    Alcotest.test_case "level 0 is the context view" `Slow test_level0_is_ctx_soa;
+    Alcotest.test_case "gp stop reasons" `Slow test_gp_stop_reasons;
+    Alcotest.test_case "ml bypass traced" `Slow test_ml_bypass_traced;
   ]

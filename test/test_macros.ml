@@ -2,6 +2,7 @@
    blockages must flow end-to-end with legality preserved, and the
    substrates must account for the blocked capacity. *)
 
+module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
 module Builder = Dpp_netlist.Builder
@@ -36,7 +37,7 @@ let small_cfg =
 
 let test_grid_capacity_blocked () =
   let d = macro_design ~cells:60 ~seed:3 in
-  let g = Dpp_density.Grid.build d ~nx:12 ~ny:12 in
+  let g = Dpp_density.Grid.of_soa (Soa.of_design d) ~nx:12 ~ny:12 in
   Alcotest.(check (float 1e-6)) "capacity excludes the macro"
     (Rect.area d.Design.die -. 1600.0)
     (Dpp_density.Grid.total_capacity g)

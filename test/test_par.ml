@@ -6,6 +6,7 @@
    kernels promise identity across worker counts, and the whole flow
    promises the same final placement at -jobs 1 and -jobs 4. *)
 
+module Soa = Dpp_netlist.Soa
 module Rect = Dpp_geom.Rect
 module Types = Dpp_netlist.Types
 module Builder = Dpp_netlist.Builder
@@ -181,9 +182,10 @@ let test_model_kernels_bit_exact () =
 let test_bell_worker_count_independent () =
   List.iter
     (fun (dname, d) ->
-      let nx, ny = Grid.default_dims d in
-      let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create d ~grid ~target_density:0.9 in
+      let soa = Soa.of_design d in
+      let nx, ny = Grid.dims_of_soa soa in
+      let grid = Grid.of_soa soa ~nx ~ny in
+      let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
       let nc = Design.num_cells d in
       let cx, cy = Pins.centers_of_design d in
       let run w =
@@ -220,15 +222,16 @@ let test_rudy_worker_count_independent () =
   List.iter
     (fun (dname, d) ->
       let cx, cy = Pins.centers_of_design d in
-      let r1 = Pool.with_pool ~nworkers:1 (fun pool -> Rudy.compute ~pool d ~cx ~cy) in
+      let pins = Pins.build d in
+      let r1 = Pool.with_pool ~nworkers:1 (fun pool -> Rudy.of_pins ~pool pins ~cx ~cy) in
       List.iter
         (fun w ->
-          let rw = Pool.with_pool ~nworkers:w (fun pool -> Rudy.compute ~pool d ~cx ~cy) in
+          let rw = Pool.with_pool ~nworkers:w (fun pool -> Rudy.of_pins ~pool pins ~cx ~cy) in
           Alcotest.(check int) (dname ^ " nx") r1.Rudy.nx rw.Rudy.nx;
           Alcotest.(check int) (dname ^ " ny") r1.Rudy.ny rw.Rudy.ny;
           check_bits (Printf.sprintf "%s w=%d demand" dname w) r1.Rudy.demand rw.Rudy.demand)
         worker_counts;
-      let serial = Rudy.compute d ~cx ~cy in
+      let serial = Rudy.of_pins pins ~cx ~cy in
       Array.iteri
         (fun i v ->
           if not (abs_float (v -. serial.Rudy.demand.(i)) <= 1e-9 *. (1.0 +. abs_float v))

@@ -126,12 +126,13 @@ let test_qp_improves_hpwl () =
 
 let test_gp_reduces_overflow () =
   let d = place_design 74 in
-  let qp = Qp.run ~seed:1 (Soa.of_design d) in
-  let grid = Dpp_density.Grid.build d ~nx:16 ~ny:16 in
+  let soa = Soa.of_design d in
+  let qp = Qp.run ~seed:1 soa in
+  let grid = Dpp_density.Grid.of_soa soa ~nx:16 ~ny:16 in
   let before =
-    Dpp_density.Overflow.total_overflow d grid ~target_density:0.9 ~cx:qp.Qp.cx ~cy:qp.Qp.cy
+    Dpp_density.Overflow.total_overflow soa grid ~target_density:0.9 ~cx:qp.Qp.cx ~cy:qp.Qp.cy
   in
-  let gp = Gp.run ~pins:(Pins.build d) d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins:(Pins.build d) Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "overflow reduced" true (gp.Gp.final_overflow < before);
   Alcotest.(check bool) "reaches target-ish" true (gp.Gp.final_overflow < 0.15)
 
@@ -139,7 +140,7 @@ let test_gp_trace_monotone_overflow () =
   let d = place_design 75 in
   let qp = Qp.run ~seed:1 (Soa.of_design d) in
   let gp =
-    Gp.run ~pins:(Pins.build d) d { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx
+    Gp.run ~pins:(Pins.build d) { Gp.default_config with Gp.rounds = 8 } ~cx:qp.Qp.cx
       ~cy:qp.Qp.cy
   in
   Alcotest.(check bool) "trace nonempty" true (gp.Gp.trace <> []);
@@ -163,7 +164,7 @@ let test_gp_rigid_groups_stay_arrays () =
   let qp = Qp.run ~seed:1 pins.Pins.soa in
   let dgs = Dpp_structure.Dgroup.build_all pins.Pins.soa d.Design.groups in
   let cfg = { Gp.default_config with Gp.rigid_groups = dgs } in
-  let gp = Gp.run ~pins d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   List.iter
     (fun dg ->
       Alcotest.(check (float 1e-6)) "rigid group is an exact array" 0.0
@@ -184,9 +185,9 @@ let test_gp_soft_groups_reduce_alignment_error () =
   let pins = Pins.build d in
   let qp = Qp.run ~seed:1 pins.Pins.soa in
   let dgs = Dpp_structure.Dgroup.build_all pins.Pins.soa d.Design.groups in
-  let base = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let base = Gp.run ~pins Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let soft =
-    Gp.run ~pins d { Gp.default_config with Gp.groups = dgs; beta = 2.0 } ~cx:qp.Qp.cx
+    Gp.run ~pins { Gp.default_config with Gp.groups = dgs; beta = 2.0 } ~cx:qp.Qp.cx
       ~cy:qp.Qp.cy
   in
   let err r = Dpp_structure.Alignment.total_error dgs ~cx:r.Gp.cx ~cy:r.Gp.cy in
@@ -197,7 +198,7 @@ let test_gp_soft_groups_reduce_alignment_error () =
 let run_legalization d =
   let pins = Pins.build d in
   let qp = Qp.run ~seed:1 pins.Pins.soa in
-  let gp = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let legal = Legal.run pins.Pins.soa ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   Abacus.run pins.Pins.soa ~target_cx:gp.Gp.cx ~legal ();
   gp, legal
@@ -257,7 +258,7 @@ let test_abacus_reduces_displacement () =
   let d = place_design 81 in
   let pins = Pins.build d in
   let qp = Qp.run ~seed:1 pins.Pins.soa in
-  let gp = Gp.run ~pins d Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let gp = Gp.run ~pins Gp.default_config ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   let legal1 = Legal.run pins.Pins.soa ~cx:gp.Gp.cx ~cy:gp.Gp.cy () in
   let disp l =
     Array.fold_left

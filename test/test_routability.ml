@@ -90,7 +90,7 @@ let test_inflation_budget_clamped () =
   let d = channel in
   let qp = Qp.run ~seed:1 (Soa.of_design d) in
   let cfg = { gp_cfg with Gp.rt_overflow = 0.2; rt_max_inflate = 0.02 } in
-  let r = Gp.run ~pins:(Pins.build d) d cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
+  let r = Gp.run ~pins:(Pins.build d) cfg ~cx:qp.Qp.cx ~cy:qp.Qp.cy in
   Alcotest.(check bool) "ledger non-empty" true (r.Gp.rt_trace <> []);
   let saw_inflation = ref false in
   List.iter
@@ -112,9 +112,10 @@ let test_inflation_budget_clamped () =
 
 let test_bell_inflation_roundtrip () =
   let d = channel in
-  let nx, ny = Grid.default_dims d in
-  let grid = Grid.build d ~nx ~ny in
-  let bell = Bell.create d ~grid ~target_density:0.9 in
+  let soa = Soa.of_design d in
+  let nx, ny = Grid.dims_of_soa soa in
+  let grid = Grid.of_soa soa ~nx ~ny in
+  let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
   let cx, cy = Pins.centers_of_design d in
   let v0 = Bell.value bell ~cx ~cy in
   let factors = Array.init (Design.num_cells d) (fun i -> 1.0 +. (0.003 *. float_of_int i)) in
@@ -137,7 +138,7 @@ let test_rt_disabled_is_clean () =
   let d = channel in
   let qp = Qp.run ~seed:1 (Soa.of_design d) in
   let r =
-    Gp.run ~pins:(Pins.build d) d { gp_cfg with Gp.routability = false } ~cx:qp.Qp.cx
+    Gp.run ~pins:(Pins.build d) { gp_cfg with Gp.routability = false } ~cx:qp.Qp.cx
       ~cy:qp.Qp.cy
   in
   Alcotest.(check bool) "no ledger" true (r.Gp.rt_trace = []);

@@ -213,14 +213,15 @@ let test_kernels_match_record_path () =
       grad_equal ~what:(name ^ " lse") n
         (fun ~gx ~gy -> Model.value_grad Model.Lse pins ~gamma ~cx ~cy ~gx ~gy)
         (fun ~gx ~gy -> R.lse_value_grad rp ~gamma ~cx ~cy ~gx ~gy);
-      let nx, ny = Grid.default_dims d in
-      let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create ~soa:pins.Pins.soa d ~grid ~target_density:0.9 in
+      let soa = pins.Pins.soa in
+      let nx, ny = Grid.dims_of_soa soa in
+      let grid = Grid.of_soa soa ~nx ~ny in
+      let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
       let rbell = R.Rbell.create d ~grid ~target_density:0.9 in
       grad_equal ~what:(name ^ " bell") n
         (fun ~gx ~gy -> Bell.value_grad bell ~cx ~cy ~gx ~gy)
         (fun ~gx ~gy -> R.Rbell.value_grad rbell ~cx ~cy ~gx ~gy);
-      let rd = Rudy.compute ~pins ~nx ~ny d ~cx ~cy in
+      let rd = Rudy.of_pins ~nx ~ny pins ~cx ~cy in
       let rr = R.rudy rp ~nx ~ny ~cx ~cy in
       if not (Array.for_all2 Float.equal rd.Rudy.demand rr) then
         Alcotest.failf "%s: rudy demand map differs from the record path" name;
@@ -250,9 +251,10 @@ let test_kernels_jobs_1_2_4 () =
       let cx, cy = Pins.centers_of_design d in
       let n = Design.num_cells d in
       let gamma = max 1.0 (0.02 *. Dpp_geom.Rect.width d.Design.die) in
-      let nx, ny = Grid.default_dims d in
-      let grid = Grid.build d ~nx ~ny in
-      let bell = Bell.create ~soa:pins.Pins.soa d ~grid ~target_density:0.9 in
+      let soa = pins.Pins.soa in
+      let nx, ny = Grid.dims_of_soa soa in
+      let grid = Grid.of_soa soa ~nx ~ny in
+      let bell = Bell.of_soa soa ~grid ~target_density:0.9 in
       let at_jobs jobs =
         Pool.with_pool ~nworkers:jobs @@ fun pool ->
         let pg = Par_grad.create pool pins in
@@ -261,7 +263,7 @@ let test_kernels_jobs_1_2_4 () =
         let bp = Bell.par_create bell in
         let bx = Array.make n 0.0 and by = Array.make n 0.0 in
         let bv = Bell.par_value_grad bp pool ~cx ~cy ~gx:bx ~gy:by in
-        let rd = Rudy.compute ~pool ~pins ~nx ~ny d ~cx ~cy in
+        let rd = Rudy.of_pins ~pool ~nx ~ny pins ~cx ~cy in
         let nb = Netbox.build ~pool pins ~cx ~cy in
         v, gx, gy, bv, bx, by, rd.Rudy.demand, Netbox.total nb
       in

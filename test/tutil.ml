@@ -111,3 +111,9 @@ let check_kernel_alloc name f =
   if w > kernel_word_budget then
     Alcotest.failf "%s allocates %.0f minor words per call (budget %.0f)" name w
       kernel_word_budget
+
+(* [sub] occurs in [s] *)
+let contains ~sub s =
+  let n = String.length sub and m = String.length s in
+  let rec at i = i + n <= m && (String.sub s i n = sub || at (i + 1)) in
+  n = 0 || at 0
